@@ -81,11 +81,11 @@ def preset_split(eps: float, n: int, d: int, purity: float) -> OneShotParams:
         raise OutOfRangeError(f"eps = {eps} outside (0, 1)")
     if n < 1:
         raise OutOfRangeError(f"n = {n} must be >= 1")
-    eps1 = max(eps - 3.0 / np.sqrt(n), eps / 2.0)
+    eps1 = float(max(eps - 3.0 / np.sqrt(n), eps / 2.0))
     ideal = (eps / (1.0 + 1.0 / d) - eps1) ** 2 - purity
-    eps2 = ideal if 0.0 < ideal < 1.0 else eps / 2.0
-    delta1 = eps1 - min(1.0 / np.sqrt(n), eps1 / 2.0)
-    delta2 = eps2 - min(1.0 / n, eps2 / 2.0)
+    eps2 = float(ideal if 0.0 < ideal < 1.0 else eps / 2.0)
+    delta1 = float(eps1 - min(1.0 / np.sqrt(n), eps1 / 2.0))
+    delta2 = float(eps2 - min(1.0 / n, eps2 / 2.0))
     params = OneShotParams(eps1, eps2, delta1, delta2, d)
     return OneShotParams(
         eps1, eps2, delta1, delta2, d, implied_eps=implied_error(params, purity)
@@ -238,26 +238,27 @@ def maximize_coherent_info(
     if max_iters is not None:
         options["maxiter"] = max_iters
 
-    def run_simplex(x0: np.ndarray) -> np.ndarray:
-        return minimize(neg, x0, method="Nelder-Mead", options=options).x
+    def run_simplex(x0: np.ndarray):
+        return minimize(neg, x0, method="Nelder-Mead", options=options)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            endpoints = list(pool.map(run_simplex, starts))
+            runs = list(pool.map(run_simplex, starts))
     else:
-        endpoints = [run_simplex(x0) for x0 in starts]
+        runs = [run_simplex(x0) for x0 in starts]
 
     end_vals = []
-    for x in endpoints:
-        m = _state_from_params(x, d)
+    for run in runs:
+        m = _state_from_params(run.x, d)
         val = -np.inf if m is None else value(m)
         end_vals.append(val)
         if m is not None:
             candidates.append((val, m))
 
-    x_best = endpoints[int(np.argmax(end_vals))]
+    x_best = runs[int(np.argmax(end_vals))].x
     for _ in range(2):
-        x_best = run_simplex(x_best)
+        runs.append(run_simplex(x_best))
+        x_best = runs[-1].x
         m = _state_from_params(x_best, d)
         if m is not None:
             candidates.append((value(m), m))
@@ -279,6 +280,8 @@ def maximize_coherent_info(
         "candidates": len(candidates),
         "argmax_values": tuple(float(v) for v, _ in chosen),
         "distinct_tol": ARGMAX_DISTINCT_TOL,
+        "start_nfev": tuple(int(run.nfev) for run in runs),
+        "start_converged": tuple(bool(run.success) for run in runs),
     }
     if d == 2:
         grid = bloch_grid_coherent_info(ch)

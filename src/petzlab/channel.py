@@ -8,7 +8,7 @@ Choi operators, adjoints, tensor powers, and loading from JSON files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,13 +30,15 @@ class Channel:
     """Quantum channel with Kraus operators of shape (d_out, d_in).
 
     trace_preserving=False marks the trace-non-increasing variant used for
-    intermediate maps (sum of K† K at most the identity).
+    intermediate maps (sum of K† K at most the identity). kraus_stack is the
+    read-only (r, d_out, d_in) array that the entries of kraus are views of.
     """
 
     d_in: int
     d_out: int
     kraus: tuple[np.ndarray, ...]
     trace_preserving: bool = True
+    kraus_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
@@ -48,11 +50,12 @@ class Channel:
                 raise DimensionMismatchError(
                     f"Kraus shape {k.shape} != ({self.d_out}, {self.d_in})"
                 )
-            k.setflags(write=False)
             ops.append(k)
         if not ops:
             raise BadParameterError("channel needs at least one Kraus operator")
-        gram = sum(k.conj().T @ k for k in ops)
+        stack = np.stack(ops)
+        stack.setflags(write=False)
+        gram = (_dagger(stack) @ stack).sum(0)
         if self.trace_preserving:
             defect = float(np.abs(gram - np.eye(self.d_in)).max())
             if defect > CPTP_ATOL:
@@ -65,7 +68,8 @@ class Channel:
                 raise NotTracePreservingError(
                     f"trace-non-increasing map has K†K sum with eigenvalue {top!r}"
                 )
-        object.__setattr__(self, "kraus", tuple(ops))
+        object.__setattr__(self, "kraus_stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
 
     def apply_mat(self, x) -> np.ndarray:
         """Apply the channel to an arbitrary operator."""
@@ -74,10 +78,8 @@ class Channel:
             raise DimensionMismatchError(
                 f"operator shape {a.shape} != ({self.d_in}, {self.d_in})"
             )
-        out = np.zeros((self.d_out, self.d_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ a @ k.conj().T
-        return out
+        k = self.kraus_stack
+        return (k @ a @ _dagger(k)).sum(0)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """Apply the channel to a state; requires a trace-preserving map."""
@@ -90,10 +92,8 @@ class Channel:
             raise DimensionMismatchError(
                 f"operator shape {a.shape} != ({self.d_out}, {self.d_out})"
             )
-        out = np.zeros((self.d_in, self.d_in), dtype=complex)
-        for k in self.kraus:
-            out += k.conj().T @ a @ k
-        return out
+        k = self.kraus_stack
+        return (_dagger(k) @ a @ k).sum(0)
 
     def apply_to_second(self, x, left_dim: int) -> np.ndarray:
         """Apply id (x) channel to an operator on C^left_dim (x) C^d_in."""
@@ -118,38 +118,20 @@ class Channel:
         The environment dimension equals the number of Kraus operators; the
         output factor comes first.
         """
-        d_e = len(self.kraus)
-        v = np.zeros((self.d_out * d_e, self.d_in), dtype=complex)
-        for e, k in enumerate(self.kraus):
-            for o in range(self.d_out):
-                v[o * d_e + e, :] = k[o, :]
-        return v
+        return self.kraus_stack.transpose(1, 0, 2).reshape(-1, self.d_in)
 
     def complementary(self) -> "Channel":
-        """Channel to the environment of the Stinespring dilation."""
-        d_e = len(self.kraus)
-        comp = []
-        for j in range(self.d_out):
-            c = np.zeros((d_e, self.d_in), dtype=complex)
-            for e, k in enumerate(self.kraus):
-                c[e, :] = k[j, :]
-            comp.append(c)
-        return Channel(self.d_in, d_e, tuple(comp), self.trace_preserving)
+        """Channel to the environment of the Stinespring dilation; its j-th
+        Kraus operator stacks the rows K_k[j, :] over k."""
+        comp = tuple(self.kraus_stack.transpose(1, 0, 2))
+        return Channel(self.d_in, len(self.kraus), comp, self.trace_preserving)
 
     def choi(self) -> np.ndarray:
         """Choi operator (id (x) channel) applied to the maximally entangled
-        state, normalized to unit trace for a trace-preserving map."""
-        d = self.d_in
-        out = np.zeros((d * self.d_out, d * self.d_out), dtype=complex)
-        basis = np.eye(d, dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                block = self.apply_mat(np.outer(basis[i], basis[j].conj()))
-                out[
-                    i * self.d_out : (i + 1) * self.d_out,
-                    j * self.d_out : (j + 1) * self.d_out,
-                ] = block
-        return out / d
+        state, normalized to unit trace for a trace-preserving map; row
+        (i, a) of v holds K_k[a, i] over k."""
+        v = self.kraus_stack.transpose(2, 1, 0).reshape(-1, len(self.kraus))
+        return v @ v.conj().T / self.d_in
 
     def tensor(self, other: "Channel") -> "Channel":
         """Tensor product channel, materialized explicitly."""
@@ -175,6 +157,11 @@ class Channel:
         for _ in range(n - 1):
             out = out.tensor(self)
         return out
+
+
+def _dagger(k: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return k.conj().transpose(0, 2, 1)
 
 
 def kraus_from_choi(choi: np.ndarray, d_in: int, d_out: int) -> list[np.ndarray]:

@@ -160,7 +160,8 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        # float() first: numpy scalars subclass float but repr as np.float64(...)
+        return repr(float(value))
     return str(value)
 
 

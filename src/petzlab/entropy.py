@@ -22,6 +22,7 @@ from .linalg import (
     as_matrix,
     hermitian_fn,
     hermitize,
+    require_psd,
     support_projector,
 )
 from .qstate import purify
@@ -327,17 +328,33 @@ def reference_output(ch, rho) -> np.ndarray:
 
 
 def coherent_info(ch, rho) -> float:
-    """Coherent information of the channel at the given input state.
+    """Coherent information I_c = H(B) - H(RB) of the channel at the input
+    state rho, in bits.
 
-    Defined as the relative entropy of omega_RB from I_R (x) omega_B, and
-    evaluated as the entropy difference H(B) - H(RB), which is the same
-    quantity.
+    Evaluated through the complementary channel as H(N(rho)) - H(N^c(rho)),
+    where N^c(rho)[k, l] = tr(K_k rho K_l†) is the environment's state. The
+    purification of rho on R (x) A, sent through the Stinespring isometry,
+    is a pure state on R (x) B (x) E, so H(RB) = H(E); this needs the
+    spectra of a d_out x d_out and an r x r matrix (r Kraus operators)
+    instead of the (d_in d_out)^2 state omega_RB. rho is validated once:
+    it must be Hermitian, finite, of dimension ch.d_in, and positive
+    semidefinite within the band of linalg.require_psd.
     """
     r = as_matrix(rho)
-    omega = reference_output(ch, r)
-    h_rb = _entropy_bits(np.linalg.eigvalsh(hermitize(omega)))
-    h_b = _entropy_bits(np.linalg.eigvalsh(hermitize(ch.apply_mat(r))))
-    return h_b - h_rb
+    if r.shape[0] != ch.d_in:
+        raise DimensionMismatchError(
+            f"state dimension {r.shape[0]} != channel input {ch.d_in}"
+        )
+    r = hermitize(r)
+    w = np.linalg.eigvalsh(r)
+    require_psd(float(w[0]), float(w[-1]))
+    k = ch.kraus_stack
+    kr = k @ r
+    out = (kr @ k.conj().transpose(0, 2, 1)).sum(0)
+    env = kr.reshape(len(k), -1) @ k.reshape(len(k), -1).conj().T
+    return _entropy_bits(np.linalg.eigvalsh(out)) - _entropy_bits(
+        np.linalg.eigvalsh(env)
+    )
 
 
 def channel_variance(ch, rho) -> float:

@@ -43,7 +43,7 @@ def _check_square(x) -> np.ndarray:
     a = as_matrix(x)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
-    if not (np.isfinite(a.real).all() and np.isfinite(a.imag).all()):
+    if not np.isfinite(a).all():
         raise NotPSDError("matrix contains non-finite entries")
     return a
 
@@ -80,13 +80,20 @@ def _psd_eig(x) -> HermitianEig:
     anything below that band raises NotPSD.
     """
     w, v = hermitian_eig(x)
-    lam_max = max(float(w[0]), 0.0) if w.size else 0.0
-    if w.size and float(w[-1]) < -PSD_HARD_RTOL * max(lam_max, 1e-300):
+    if w.size:
+        require_psd(float(w[-1]), float(w[0]))
+    return HermitianEig(np.maximum(w, 0.0), v)
+
+
+def require_psd(lam_min: float, lam_max: float) -> None:
+    """Raise NotPSD when the smallest eigenvalue lies below the tolerance
+    band -PSD_HARD_RTOL * max(lam_max, 0)."""
+    lam_max = max(lam_max, 0.0)
+    if lam_min < -PSD_HARD_RTOL * max(lam_max, 1e-300):
         raise NotPSDError(
-            f"eigenvalue {w[-1]:.3e} below -{PSD_HARD_RTOL:.0e} * lam_max "
+            f"eigenvalue {lam_min:.3e} below -{PSD_HARD_RTOL:.0e} * lam_max "
             f"({lam_max:.3e})"
         )
-    return HermitianEig(np.maximum(w, 0.0), v)
 
 
 def hermitian_fn(

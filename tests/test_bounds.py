@@ -223,6 +223,16 @@ def test_maximize_trace_has_grid_section_for_qubits(dephasing_ic):
     assert res.ic_bits >= grid_val - 1e-8
 
 
+def test_maximize_trace_records_each_minimize_call(dephasing_ic):
+    _, res = dephasing_ic
+    trace = res.optimizer_trace
+    nfev, converged = trace["start_nfev"], trace["start_converged"]
+    # every start, then two polish rounds of the best endpoint
+    assert len(nfev) == len(converged) == trace["starts"] + 2
+    assert all(type(v) is int and v > 0 for v in nfev)
+    assert all(type(v) is bool for v in converged)
+
+
 def test_bloch_grid_matches_closed_form():
     p = 0.1
     ch = make_channel("dephasing", p)

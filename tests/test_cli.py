@@ -172,6 +172,19 @@ def test_oneshot_csv_format(runner):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("eps,n", [(0.1, 1), (0.1, 100), (0.1, 10000), (0.5, 400), (0.9, 10000)])
+def test_oneshot_csv_preset_split_fields_parse_as_floats(runner, eps, n):
+    res = runner.invoke(
+        cli,
+        ["--format", "csv", "oneshot", "--channel", "identity:2",
+         "--eps", repr(eps), "--n", str(n)],
+    )
+    assert res.exit_code == 0
+    _, _, rows = parse_csv(res.stdout)
+    for col in ("eps1", "delta1", "eps2", "delta2"):
+        float(rows[0][col])
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -368,6 +381,11 @@ def test_channel_hash_stable_and_distinct():
     assert a != c
     assert len(a) == 16
     int(a, 16)
+
+
+def test_render_csv_numpy_scalar_prints_like_float():
+    text = render_csv({"seed": 0}, ["x"], [{"x": np.float64(0.1) + 0.2}])
+    assert text.strip().split("\n")[-1] == repr(0.1 + 0.2)
 
 
 def test_render_csv_float_repr_round_trip():

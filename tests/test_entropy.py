@@ -4,9 +4,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
-from petzlab.channel import make_channel
+import petzlab.entropy as entropy_module
+from petzlab.channel import make_channel, random_channel
 from petzlab.entropy import (
     EntropyValue,
+    _entropy_bits,
     binary_entropy,
     channel_variance,
     check_collision_spectrum,
@@ -24,8 +26,14 @@ from petzlab.entropy import (
     rel_entropy_variance,
     von_neumann_entropy,
 )
-from petzlab.errors import OutOfRangeError, SupportViolationError
-from petzlab.linalg import partial_trace
+from petzlab.errors import (
+    DimensionMismatchError,
+    NonHermitianError,
+    NotPSDError,
+    OutOfRangeError,
+    SupportViolationError,
+)
+from petzlab.linalg import hermitize, partial_trace
 from petzlab.qstate import keyed_stream, haar_unitary
 
 ORACLE_ATOL = 1e-9
@@ -292,7 +300,7 @@ def test_coherent_info_erasure_closed_form():
     rho = g @ g.conj().T
     rho = rho / np.trace(rho).real
     h = von_neumann_entropy(rho)
-    for p in (0.1, 0.3, 0.5, 0.8):
+    for p in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
         ch = make_channel("erasure", p)
         assert coherent_info(ch, rho) == pytest.approx((1 - 2 * p) * h, abs=1e-9)
 
@@ -302,6 +310,106 @@ def test_coherent_info_dephasing_at_pi():
         ch = make_channel("dephasing", p)
         expect = 1.0 - binary_entropy(p)
         assert coherent_info(ch, np.eye(2) / 2) == pytest.approx(expect, abs=1e-10)
+
+
+def purification_ic(ch, rho):
+    """H(B) - H(RB) on omega_RB, the purification sent through the channel."""
+    h_b = _entropy_bits(np.linalg.eigvalsh(hermitize(ch.apply_mat(rho))))
+    h_rb = _entropy_bits(np.linalg.eigvalsh(hermitize(reference_output(ch, rho))))
+    return h_b - h_rb
+
+
+def random_rank_state(d, rank, rng):
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+IC_PATH_ATOL = 1e-12
+
+
+@seed(3)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+def test_coherent_info_matches_purification_on_random_channels(
+    key, d, d_out, kraus_count, rank
+):
+    # rank 1 is a pure input, rank < d a rank-deficient one, rank >= d full
+    if d_out * kraus_count < d:
+        d_out = d
+    rng = keyed_stream(key, "ic-random-channel")
+    ch = random_channel(d, d_out, kraus_count, rng)
+    rho = random_rank_state(d, min(rank, d), rng)
+    assert coherent_info(ch, rho) == pytest.approx(
+        purification_ic(ch, rho), abs=IC_PATH_ATOL
+    )
+
+
+@seed(5)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(
+        ["erasure:0", "erasure:1", "erasure:0.5", "erasure:0.3:3",
+         "identity:2", "identity:3", "identity:4", "dephasing:0.1",
+         "depolarizing:0.2:3"]
+    ),
+    st.integers(1, 4),
+)
+def test_coherent_info_matches_purification_on_named_channels(key, spec, rank):
+    name, *params = spec.split(":")
+    ch = make_channel(name, *(float(p) for p in params))
+    rng = keyed_stream(key, "ic-named-channel")
+    rho = random_rank_state(ch.d_in, min(rank, ch.d_in), rng)
+    assert coherent_info(ch, rho) == pytest.approx(
+        purification_ic(ch, rho), abs=IC_PATH_ATOL
+    )
+
+
+def test_coherent_info_does_not_build_the_purification(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("coherent_info went through omega_RB")
+
+    monkeypatch.setattr(entropy_module, "purify", forbidden)
+    monkeypatch.setattr(entropy_module, "reference_output", forbidden)
+    ch = make_channel("dephasing", 0.25)
+    assert coherent_info(ch, np.eye(2) / 2) == pytest.approx(
+        1.0 - binary_entropy(0.25), abs=1e-12
+    )
+
+
+def test_coherent_info_rejects_non_hermitian():
+    with pytest.raises(NonHermitianError):
+        coherent_info(make_channel("dephasing", 0.1), np.array([[0.5, 0.3], [0.0, 0.5]]))
+
+
+def test_coherent_info_rejects_non_psd():
+    with pytest.raises(NotPSDError):
+        coherent_info(make_channel("dephasing", 0.1), np.diag([1.2, -0.2]))
+
+
+def test_coherent_info_accepts_round_off_below_zero():
+    rho = np.diag([1.0, -1e-12])
+    assert coherent_info(make_channel("identity", 2), rho) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf), complex(0, np.nan)])
+def test_coherent_info_rejects_non_finite(bad):
+    rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    rho[0, 0] += bad
+    with pytest.raises(NotPSDError):
+        coherent_info(make_channel("dephasing", 0.1), rho)
+
+
+def test_coherent_info_rejects_wrong_dimension():
+    with pytest.raises(DimensionMismatchError):
+        coherent_info(make_channel("erasure", 0.3, 3), np.eye(2) / 2)
 
 
 def test_channel_variance_closed_forms():

@@ -47,6 +47,14 @@ def test_hermitize_rejects_non_finite():
         hermitize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [complex(0, np.inf), complex(0, -np.inf), complex(0, np.nan)])
+def test_hermitize_rejects_non_finite_imaginary_part(bad):
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = bad
+    with pytest.raises(NotPSDError):
+        hermitize(a)
+
+
 def test_hermitian_eig_descending_and_reconstructs():
     h = np.array([[1.0, 2.0], [2.0, -1.0]])
     w, v = hermitian_eig(h)
