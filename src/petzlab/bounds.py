@@ -7,7 +7,6 @@ flagged, never folded in).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +29,7 @@ from .errors import (
     ScaleLimitError,
 )
 from .linalg import as_matrix, hermitian_fn
-from .petz import build_code, code_max_entangled, ent_fidelity, fidelity_to_target, petz_decoder
-from .qstate import DensityMatrix, haar_projector, keyed_stream, purify, trace_distance
+from .qstate import DensityMatrix, keyed_stream, purify, trace_distance
 
 ARGMAX_DISTINCT_TOL = 1e-4
 OPTIMIZER_DIM_LIMIT = 8
@@ -185,7 +183,6 @@ def maximize_coherent_info(
     tol_eta: float = 1e-6,
     max_iters: int | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> CoherentInfoResult:
     """Maximize coherent information over input states by multistart simplex
     descent on the parametrization rho = A A^dag / tr(A A^dag).
@@ -241,11 +238,7 @@ def maximize_coherent_info(
     def run_simplex(x0: np.ndarray):
         return minimize(neg, x0, method="Nelder-Mead", options=options)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run_simplex, starts))
-    else:
-        runs = [run_simplex(x0) for x0 in starts]
+    runs = [run_simplex(x0) for x0 in starts]
 
     end_vals = []
     for run in runs:
@@ -402,58 +395,4 @@ def second_order_bound(
     bound = n * ic_result.ic_bits + np.sqrt(n * max(v_eps, 0.0)) * inv_normal_cdf(eps)
     return SecondOrderResult(
         n=n, eps=eps, ic=ic_result.ic_bits, v_eps=v_eps, bound_bits=float(bound)
-    )
-
-
-# ---------------------------------------------------------------------------
-# fidelity-ordering check
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrderingReport:
-    """Per-sample transmission and generation fidelities with the ordering
-    verdict best generation >= best transmission (up to round-off)."""
-
-    f_ent: np.ndarray
-    f_eg: np.ndarray
-    best_f_ent: float
-    best_f_eg: float
-    ordering_ok: bool
-
-
-def capacity_ordering_check(
-    ch: Channel,
-    m: int,
-    code_samples: int,
-    rng: np.random.Generator,
-    rho: DensityMatrix | None = None,
-) -> OrderingReport:
-    """Entanglement generation can always do what transmission does: feeding
-    the code's maximally entangled state as the prepared input reproduces the
-    transmission fidelity, so the best generation fidelity over sampled codes
-    must weakly dominate the best transmission fidelity."""
-    if ch.d_in > 4:
-        raise ScaleLimitError("ordering check is intended for d_in <= 4")
-    if rho is None:
-        rho = DensityMatrix.maximally_mixed(ch.d_in)
-    f_ent = np.empty(code_samples)
-    f_eg = np.empty(code_samples)
-    for i in range(code_samples):
-        p = haar_projector(ch.d_in, m, rng)
-        code = build_code(rho, p)
-        dec = petz_decoder(ch, code)
-        f_ent[i] = ent_fidelity(ch, dec.total, code.code_basis)
-        phi = code_max_entangled(code.code_basis)
-        f_eg[i] = fidelity_to_target(ch, dec.total, phi, phi, m)
-    f_ent.setflags(write=False)
-    f_eg.setflags(write=False)
-    best_ent = float(f_ent.max())
-    best_eg = float(f_eg.max())
-    return OrderingReport(
-        f_ent=f_ent,
-        f_eg=f_eg,
-        best_f_ent=best_ent,
-        best_f_eg=best_eg,
-        ordering_ok=bool(best_eg >= best_ent - 1e-9),
     )

@@ -103,14 +103,16 @@ class Channel:
             raise DimensionMismatchError(
                 f"operator shape {a.shape} != ({n}, {n})"
             )
-        eye = np.eye(left_dim)
-        out = np.zeros(
-            (left_dim * self.d_out, left_dim * self.d_out), dtype=complex
+        # out[(l, a), (l', b)] = sum_ii' x[(l, i), (l', i')] J[(i, a), (i', b)]
+        # with J the unnormalized Choi operator, so that no intermediate
+        # grows with the number of Kraus operators
+        d, e, left = self.d_in, self.d_out, left_dim
+        j = (self.choi() * d).reshape(d, e, d, e).transpose(0, 2, 1, 3)
+        x = a.reshape(left, d, left, d).transpose(0, 2, 1, 3)
+        y = x.reshape(left * left, d * d) @ j.reshape(d * d, e * e)
+        return y.reshape(left, left, e, e).transpose(0, 2, 1, 3).reshape(
+            left * e, left * e
         )
-        for k in self.kraus:
-            big = np.kron(eye, k)
-            out += big @ a @ big.conj().T
-        return out
 
     def stinespring(self) -> np.ndarray:
         """Isometry V = sum_k K_k (x) |k>_E from C^d_in to C^d_out (x) C^d_E.

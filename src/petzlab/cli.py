@@ -3,8 +3,9 @@ orchestration, the lemma verification suite, and deterministic CSV/JSON
 emission.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure. With a fixed seed all numeric output is byte-identical across runs
-and thread counts.
+failure. With a fixed seed all numeric output is byte-identical across runs.
+`--threads` is accepted for compatibility and must be at least 1; it changes
+neither scheduling nor output, since all work runs in one thread.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def _channel(text: str) -> Channel:
 
 @click.group()
 @click.option("--seed", type=int, default=None, help="Master seed; falls back to PETZLAB_SEED, then 0.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for independent trials.")
+@click.option("--threads", type=int, default=1, show_default=True, help="Accepted for compatibility (>= 1); changes neither scheduling nor output.")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None, help="Output path (default: stdout).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None, help="Output format (default: csv; oneshot defaults to json).")
 @click.pass_context
@@ -255,7 +256,7 @@ def cli(ctx, seed, threads, out, fmt):
                 ) from exc
     if threads < 1:
         raise click.UsageError(f"--threads must be >= 1, got {threads}")
-    ctx.obj = {"seed": seed, "threads": threads, "out": out, "fmt": fmt}
+    ctx.obj = {"seed": seed, "out": out, "fmt": fmt}
 
 
 def _guard(fn):
@@ -286,7 +287,7 @@ def bound(ctx, channel_text, eps, n_text):
         ch = _channel(channel_text)
         ns = _parse_ints(n_text, "n")
         obj = ctx.obj
-        ic = maximize_coherent_info(ch, seed=obj["seed"], workers=obj["threads"])
+        ic = maximize_coherent_info(ch, seed=obj["seed"])
         rows = []
         for n in ns:
             res = second_order_bound(ch, eps, n, ic_result=ic)
@@ -391,9 +392,7 @@ def simulate(ctx, channel_text, m, samples):
             raise click.UsageError("--samples must be >= 1")
         obj = ctx.obj
         rho = DensityMatrix.maximally_mixed(ch.d_in)
-        stats = random_code_experiment(
-            ch, rho, m, samples, obj["seed"], workers=obj["threads"]
-        )
+        stats = random_code_experiment(ch, rho, m, samples, obj["seed"])
         meta = _metadata(obj["seed"], ch)
         rows = [
             {"sample_idx": i, "f_ent": float(f)}
@@ -471,7 +470,7 @@ def erasure_case(ctx, eps_text, n_text):
         ns = _parse_ints(n_text, "n")
         obj = ctx.obj
         ch = make_channel("erasure", 0.5)
-        ic = maximize_coherent_info(ch, seed=obj["seed"], workers=obj["threads"])
+        ic = maximize_coherent_info(ch, seed=obj["seed"])
         rows = []
         for eps in eps_list:
             if abs(eps - 0.5) < 1e-12:

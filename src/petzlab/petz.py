@@ -9,7 +9,6 @@ completion state (the normalized S by default).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,7 +42,6 @@ from .qstate import (
     Subspace,
     avg_from_ent_fidelity,
     haar_projector,
-    haar_state_in,
     haar_unitary,
     keyed_stream,
     max_entangled,
@@ -128,7 +126,7 @@ def petz_decoder(
     ns = hermitize(ch.apply_mat(code.s))
     ns_inv_half = hermitian_fn(ns, lambda x: x ** -0.5, on_support=True)
     s_half = hermitian_fn(code.s, np.sqrt)
-    base_kraus = tuple(s_half @ k.conj().T @ ns_inv_half for k in ch.kraus)
+    base_kraus = s_half @ ch.kraus_stack.conj().transpose(0, 2, 1) @ ns_inv_half
     base = Channel(ch.d_out, ch.d_in, base_kraus, trace_preserving=False)
 
     if completion_state is None:
@@ -146,18 +144,17 @@ def petz_decoder(
                 "completion state has support outside the code operator"
             )
 
+    # one Kraus operator sqrt(t) |t><k| per eigenpair (t, |t>) of tau and
+    # kernel vector |k> of N(S)
     missing = kernel_basis(ns)
-    completion_kraus = []
-    if missing.shape[1]:
-        w_t, v_t = hermitian_eig(tau.mat)
-        keep = w_t > 1e-12 * max(float(w_t[0]), 1e-300)
-        for t, col in zip(w_t[keep], v_t[:, keep].T):
-            for j in range(missing.shape[1]):
-                completion_kraus.append(
-                    np.sqrt(t) * np.outer(col, missing[:, j].conj())
-                )
+    w_t, v_t = hermitian_eig(tau.mat)
+    keep = w_t > 1e-12 * max(float(w_t[0]), 1e-300)
+    cols = v_t[:, keep] * np.sqrt(w_t[keep])
+    completion_kraus = np.einsum("ai,bj->ijab", cols, missing.conj()).reshape(
+        -1, ch.d_in, ch.d_out
+    )
     total = Channel(
-        ch.d_out, ch.d_in, base_kraus + tuple(completion_kraus), True
+        ch.d_out, ch.d_in, np.concatenate([base_kraus, completion_kraus]), True
     )
     return PetzDecoder(base=base, completion_state=tau, total=total)
 
@@ -169,26 +166,28 @@ def code_max_entangled(code_basis: Subspace) -> PureState:
     return PureState(vec)
 
 
-def fidelity_to_target(
-    ch: Channel, dec: Channel, input_state: PureState, target: PureState, left_dim: int
-) -> float:
-    """Overlap of the target with (id (x) dec . ch) applied to the input."""
-    rho = input_state.density().mat
-    y = ch.apply_to_second(rho, left_dim)
-    z = dec.apply_to_second(y, left_dim)
-    return float(np.real(target.vec.conj() @ z @ target.vec))
-
-
-def ent_fidelity(ch: Channel, dec: Channel, code_space: Subspace) -> float:
-    """Entanglement fidelity of the coding scheme on the given code space."""
+def _check_scheme(ch: Channel, dec: Channel, code_space: Subspace) -> None:
     if ch.d_in != code_space.ambient_dim:
         raise DimensionMismatchError(
             f"channel input {ch.d_in} != ambient {code_space.ambient_dim}"
         )
     if dec.d_in != ch.d_out or dec.d_out != ch.d_in:
         raise DimensionMismatchError("decoder does not invert the channel shape")
-    phi = code_max_entangled(code_space)
-    return fidelity_to_target(ch, dec, phi, phi, code_space.dim)
+
+
+def ent_fidelity(ch: Channel, dec: Channel, code_space: Subspace) -> float:
+    """Entanglement fidelity of the coding scheme on the given code space.
+
+    With W the code basis (d_in x m), R_j the decoder's and N_k the
+    channel's Kraus operators, F_e = sum_jk |tr(W† R_j N_k W)|^2 / m^2: one
+    product of the stacked W† R_j with the stacked N_k W.
+    """
+    _check_scheme(ch, dec, code_space)
+    w = code_space.basis
+    left = (w.conj().T @ dec.kraus_stack).reshape(len(dec.kraus), -1)
+    right = (ch.kraus_stack @ w).transpose(0, 2, 1).reshape(len(ch.kraus), -1)
+    overlaps = left @ right.T
+    return float((np.abs(overlaps) ** 2).sum() / code_space.dim**2)
 
 
 def avg_fidelity_mc(
@@ -199,14 +198,23 @@ def avg_fidelity_mc(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of the input-output fidelity over
-    Haar-random pure states in the code space."""
+    Haar-random pure states in the code space.
+
+    Draws the same Gaussian stream as `samples` calls of haar_state_in. The
+    fidelity of psi is sum_c |<psi|C_c|psi>|^2 over the composed Kraus
+    operators C = R_j N_k, evaluated for all samples at once.
+    """
     if samples < 2:
         raise BadParameterError("need at least 2 samples")
-    vals = np.empty(samples)
-    for i in range(samples):
-        phi = haar_state_in(code_space, rng)
-        out = dec.apply_mat(ch.apply_mat(np.outer(phi.vec, phi.vec.conj())))
-        vals[i] = float(np.real(phi.vec.conj() @ out @ phi.vec))
+    _check_scheme(ch, dec, code_space)
+    g = rng.standard_normal((samples, 2, code_space.dim))
+    g = g[:, 0] + 1j * g[:, 1]
+    psi = (g / np.linalg.norm(g, axis=1, keepdims=True)) @ code_space.basis.T
+    comp = (dec.kraus_stack[:, None] @ ch.kraus_stack[None]).reshape(
+        -1, ch.d_in, ch.d_in
+    )
+    amps = ((comp @ psi.T) * psi.T.conj()).sum(axis=1)
+    vals = (np.abs(amps) ** 2).sum(axis=0)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
 
 
@@ -248,24 +256,15 @@ def random_code_experiment(
     m: int,
     code_samples: int,
     seed: int,
-    workers: int = 1,
 ) -> CodeExperimentStats:
     """Sample Haar-random rank-m codes, decode with the transpose-channel
     decoder, and collect exact entanglement fidelities.
 
-    Results depend only on (seed, sample index), so any worker count gives
-    identical output.
+    Each sample depends only on (seed, sample index).
     """
     if code_samples < 1:
         raise BadParameterError("need at least one code sample")
-    indices = range(code_samples)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda i: _code_sample(ch, rho, m, seed, i), indices)
-            )
-    else:
-        results = [_code_sample(ch, rho, m, seed, i) for i in indices]
+    results = [_code_sample(ch, rho, m, seed, i) for i in range(code_samples)]
     fid = np.array([f for f, _ in results])
     fid.setflags(write=False)
     best = int(np.argmax(fid))
@@ -360,13 +359,18 @@ def weak_monotonicity_violation(lam, u, sigma) -> float:
     invariant under the clock conjugation on the first factor:
     exp2 D2((pinch (x) lam)(Phi) || sigma) >= exp2 D2((id (x) lam)(Phi) || sigma) / d.
 
-    `lam` is a Channel or a bare sequence of Kraus operators. Returns the
-    amount by which the inequality fails (0 when it holds).
+    `lam` is a Channel or a bare sequence of Kraus operators; the map need
+    not be trace non-increasing, since scaling it scales both sides alike.
+    Returns the amount by which the inequality fails (0 when it holds).
     """
-    kraus = tuple(getattr(lam, "kraus", lam))
+    kraus = np.asarray(getattr(lam, "kraus_stack", lam), dtype=complex)
     dmap = DephasingMap(as_matrix(u))
     d = dmap.dim
-    d_b = kraus[0].shape[0]
+    if kraus.ndim != 3 or kraus.shape[2] != d:
+        raise DimensionMismatchError(
+            f"Kraus stack shape {kraus.shape} does not act on dimension {d}"
+        )
+    d_b = kraus.shape[1]
     s = as_matrix(sigma)
 
     z_big = np.kron(dmap.clock(), np.eye(d_b))
@@ -376,12 +380,10 @@ def weak_monotonicity_violation(lam, u, sigma) -> float:
             f"reference state not clock invariant (defect {invariance:.3e})"
         )
 
-    phi = max_entangled(d).density().mat
-    omega = np.zeros((d * d_b, d * d_b), dtype=complex)
-    eye = np.eye(d)
-    for k in kraus:
-        big = np.kron(eye, k)
-        omega += big @ phi @ big.conj().T
+    # (id (x) lam)(Phi): row (i, a) of v holds K_k[a, i] over k, as in
+    # Channel.choi, which would reject a map that increases the trace
+    v = kraus.transpose(2, 1, 0).reshape(d * d_b, -1)
+    omega = v @ v.conj().T / d
 
     lhs = exp2_collision(dmap.pinch_first(omega, d_b), s)
     rhs = exp2_collision(omega, s) / d

@@ -4,7 +4,7 @@ Fidelity, purification, maximally entangled states, Haar sampling, flip
 (exchange) operators on subspaces, and the average-vs-entanglement fidelity
 relation. Random sampling follows a keyed-stream contract: every consumer
 derives a counter-based generator from (master_seed, purpose_tag, index), so
-results never depend on evaluation order or thread schedule.
+results depend only on those keys, never on evaluation order.
 """
 
 from __future__ import annotations

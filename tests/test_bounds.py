@@ -5,10 +5,8 @@ from petzlab.bounds import (
     CoherentInfoResult,
     OneShotParams,
     OneShotResult,
-    OrderingReport,
     SecondOrderResult,
     bloch_grid_coherent_info,
-    capacity_ordering_check,
     implied_error,
     maximize_coherent_info,
     one_shot_rhs,
@@ -340,38 +338,6 @@ def test_second_order_matches_formula(dephasing_ic):
     expect = n * ic_res.ic_bits + np.sqrt(n * max(v, 0.0)) * inv_normal_cdf(eps)
     assert res.bound_bits == pytest.approx(expect, abs=1e-9)
     assert res.n == n and res.eps == eps
-
-
-# ---------------------------------------------------------------------------
-# achievability ordering
-# ---------------------------------------------------------------------------
-
-
-def test_ordering_identity_channel_saturates():
-    ch = make_channel("identity", 2)
-    rng = keyed_stream(0, "ordering-ident")
-    rep = capacity_ordering_check(ch, 1, 4, rng)
-    assert rep.best_f_ent == pytest.approx(1.0, abs=1e-9)
-    assert rep.best_f_eg == pytest.approx(1.0, abs=1e-9)
-    assert rep.ordering_ok
-
-
-def test_ordering_noisy_channels():
-    rng = keyed_stream(0, "ordering-noisy")
-    for name, arg in (("dephasing", 0.2), ("erasure", 0.3)):
-        ch = make_channel(name, arg)
-        rep = capacity_ordering_check(ch, 2, 5, rng)
-        assert isinstance(rep, OrderingReport)
-        assert rep.f_ent.shape == (5,) and rep.f_eg.shape == (5,)
-        assert rep.ordering_ok, name
-        assert rep.best_f_ent <= 1.0 + 1e-12
-
-
-def test_ordering_dimension_limit():
-    ch = make_channel("identity", 6)
-    rng = keyed_stream(0, "ordering-dim")
-    with pytest.raises(ScaleLimitError):
-        capacity_ordering_check(ch, 2, 2, rng)
 
 
 def test_coherent_info_result_shape(erasure_ic):

@@ -248,13 +248,16 @@ def test_tensor_dimension_cap():
 
 def test_apply_to_second_matches_kron_identity():
     rng = keyed_stream(7, "apply-second")
-    ch = random_channel(2, 3, 2, rng)
-    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    got = ch.apply_to_second(x, 3)
-    expect = sum(
-        np.kron(np.eye(3), k) @ x @ np.kron(np.eye(3), k).conj().T for k in ch.kraus
-    )
-    np.testing.assert_allclose(got, expect, atol=ATOL)
+    for d_in, d_out, kraus_count, left_dim in ((2, 3, 2, 3), (3, 2, 4, 2)):
+        ch = random_channel(d_in, d_out, kraus_count, rng)
+        n = left_dim * d_in
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        got = ch.apply_to_second(x, left_dim)
+        eye = np.eye(left_dim)
+        expect = sum(
+            np.kron(eye, k) @ x @ np.kron(eye, k).conj().T for k in ch.kraus
+        )
+        np.testing.assert_allclose(got, expect, atol=ATOL)
 
 
 # ---------------------------------------------------------------------------
