@@ -18,7 +18,6 @@ from .entropy import (
     coherent_info,
     ds_eps,
     inv_normal_cdf,
-    reference_output,
 )
 from .errors import (
     BadParamsError,
@@ -119,12 +118,12 @@ def one_shot_rhs(ch: Channel, rho: DensityMatrix, params: OneShotParams) -> OneS
     if params.d != d:
         raise BadParamsError(f"params.d = {params.d} != state dim {d}")
 
-    omega = reference_output(ch, r)
+    psi = purify(r).density().mat
+    omega = ch.apply_to_second(psi, d)
     ref1 = np.kron(np.eye(d), ch.apply_mat(r))
     ds1 = ds_eps(omega, ref1, params.delta1)
     term1 = ds1.bits + np.log2((params.eps1 - params.delta1) / (1.0 - params.eps1))
 
-    psi = purify(r).density().mat
     ref2 = np.kron(np.eye(d), r)
     ds2 = ds_eps(psi, ref2, params.delta2)
     term2 = ds2.bits + np.log2((params.eps2 - params.delta2) / (1.0 - params.eps2))
@@ -214,19 +213,12 @@ def maximize_coherent_info(
     candidates: list[tuple[float, np.ndarray]] = []
     pi = np.eye(d, dtype=complex) / d
     candidates.append((value(pi), pi))
-    corner_vals = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        v = value(e)
-        corner_vals.append(v)
-        candidates.append((v, e))
+    corners = [np.diag(e).astype(complex) for e in np.eye(d)]
+    corner_vals = [value(e) for e in corners]
+    candidates.extend(zip(corner_vals, corners))
 
-    starts = [_params_from_state(pi)]
-    best_corner = int(np.argmax(corner_vals))
-    e = np.zeros((d, d), dtype=complex)
-    e[best_corner, best_corner] = 1.0
-    starts.append(_params_from_state(e))
+    best_corner = corners[int(np.argmax(corner_vals))]
+    starts = [_params_from_state(pi), _params_from_state(best_corner)]
     for i in range(restarts):
         rng = keyed_stream(seed, "coherent-info-restart", i)
         starts.append(rng.standard_normal(2 * d * d))
@@ -348,14 +340,25 @@ def bloch_grid_coherent_info(
 # ---------------------------------------------------------------------------
 
 
-def quantum_dispersion(ch: Channel, eps: float, ic_result: CoherentInfoResult) -> float:
-    """Dispersion of the channel at error eps: the minimum variance over the
-    argmax set below eps = 1/2, the maximum above it. Exactly 1/2 is outside
-    the definition's domain."""
+def _check_dispersion_eps(eps: float) -> None:
     if not 0.0 < eps < 1.0:
         raise OutOfRangeError(f"eps = {eps} outside (0, 1)")
     if abs(eps - 0.5) < 1e-12:
         raise EpsilonHalfError("dispersion is defined only for eps != 1/2")
+
+
+def check_second_order_args(eps: float, n: int) -> None:
+    """Raise second_order_bound's error for (eps, n) before any optimizer run."""
+    if n < 1:
+        raise OutOfRangeError(f"n = {n} must be >= 1")
+    _check_dispersion_eps(eps)
+
+
+def quantum_dispersion(ch: Channel, eps: float, ic_result: CoherentInfoResult) -> float:
+    """Dispersion of the channel at error eps: the minimum variance over the
+    argmax set below eps = 1/2, the maximum above it. Exactly 1/2 is outside
+    the definition's domain."""
+    _check_dispersion_eps(eps)
     vs = ic_result.per_state_variance
     if not vs:
         raise NumericsError("empty argmax set")
@@ -387,8 +390,7 @@ def second_order_bound(
 
     Pass a precomputed ic_result to share one maximization across several n.
     """
-    if n < 1:
-        raise OutOfRangeError(f"n = {n} must be >= 1")
+    check_second_order_args(eps, n)
     if ic_result is None:
         ic_result = maximize_coherent_info(ch, restarts=restarts, seed=seed)
     v_eps = quantum_dispersion(ch, eps, ic_result)

@@ -170,11 +170,15 @@ def kraus_from_choi(choi: np.ndarray, d_in: int, d_out: int) -> list[np.ndarray]
     """Recover a Kraus representation from a unit-trace Choi operator."""
     t = as_matrix(choi) * d_in
     w, v = np.linalg.eigh((t + t.conj().T) / 2)
-    ops = []
-    for lam, col in zip(w, v.T):
-        if lam > 1e-12 * max(float(w.max()), 1e-300):
-            ops.append(np.sqrt(lam) * col.reshape(d_in, d_out).T)
-    return ops
+    keep = w > 1e-12 * max(float(w.max()), 1e-300)
+    cols = v[:, keep] * np.sqrt(w[keep])
+    return [c.reshape(d_in, d_out).T for c in cols.T]
+
+
+def _dimension(name: str, value: float) -> int:
+    if not float(value).is_integer() or value < 1:
+        raise BadParameterError(f"{name} dimension {value!r} invalid")
+    return int(value)
 
 
 def make_channel(name: str, *params: float) -> Channel:
@@ -186,27 +190,20 @@ def make_channel(name: str, *params: float) -> Channel:
     if name == "identity":
         if len(params) != 1:
             raise BadParameterError("identity takes one parameter: the dimension")
-        d = int(params[0])
-        if d < 1 or d != params[0]:
-            raise BadParameterError(f"identity dimension {params[0]!r} invalid")
+        d = _dimension(name, params[0])
         return Channel(d, d, (np.eye(d, dtype=complex),))
 
     if name == "erasure":
         if len(params) not in (1, 2):
             raise BadParameterError("erasure takes p and optionally the dimension")
         p = float(params[0])
-        d = int(params[1]) if len(params) == 2 else 2
         if not 0.0 <= p <= 1.0:
             raise BadParameterError(f"erasure probability {p!r} outside [0, 1]")
-        if d < 1:
-            raise BadParameterError(f"erasure dimension {d} invalid")
-        embed = np.zeros((d + 1, d), dtype=complex)
-        embed[:d, :] = np.eye(d)
-        kraus = [np.sqrt(1.0 - p) * embed]
-        for i in range(d):
-            k = np.zeros((d + 1, d), dtype=complex)
-            k[d, i] = np.sqrt(p)
-            kraus.append(k)
+        d = _dimension(name, params[1]) if len(params) == 2 else 2
+        # Kraus operator 1 + i is sqrt(p) |erased><i|, |erased> = |d>
+        kraus = np.zeros((d + 1, d + 1, d), dtype=complex)
+        kraus[0, :d] = np.sqrt(1.0 - p) * np.eye(d)
+        kraus[np.arange(1, d + 1), d, np.arange(d)] = np.sqrt(p)
         return Channel(d, d + 1, tuple(kraus))
 
     if name == "dephasing":
@@ -226,15 +223,14 @@ def make_channel(name: str, *params: float) -> Channel:
                 "depolarizing takes p and optionally the dimension"
             )
         p = float(params[0])
-        d = int(params[1]) if len(params) == 2 else 2
         if not 0.0 <= p <= 1.0:
             raise BadParameterError(f"depolarizing probability {p!r} outside [0, 1]")
-        kraus = [np.sqrt(1.0 - p) * np.eye(d, dtype=complex)]
-        for i in range(d):
-            for j in range(d):
-                k = np.zeros((d, d), dtype=complex)
-                k[i, j] = np.sqrt(p / d)
-                kraus.append(k)
+        d = _dimension(name, params[1]) if len(params) == 2 else 2
+        # Kraus operator 1 + (i d + j) is sqrt(p / d) |i><j|
+        n = np.arange(d * d)
+        kraus = np.zeros((d * d + 1, d, d), dtype=complex)
+        kraus[0] = np.sqrt(1.0 - p) * np.eye(d)
+        kraus[1 + n, n // d, n % d] = np.sqrt(p / d)
         return Channel(d, d, tuple(kraus))
 
     raise BadParameterError(f"unknown channel name {name!r}")

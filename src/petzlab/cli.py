@@ -17,11 +17,11 @@ import sys
 from dataclasses import dataclass
 
 import click
-import numpy as np
 
 from . import __version__
 from .bounds import (
     OneShotParams,
+    check_second_order_args,
     maximize_coherent_info,
     one_shot_rhs,
     preset_split,
@@ -203,19 +203,18 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
-    try:
-        vals = [float(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise click.UsageError(f"bad {what} list {text!r}") from exc
-    if not vals:
-        raise click.UsageError(f"empty {what} list")
-    return vals
+def _emit_table(obj: dict, meta: dict, columns: list[str], rows: list[dict]) -> None:
+    """Emit rows as CSV (the default) or JSON, as --format asks."""
+    if (obj["fmt"] or "csv") == "csv":
+        text = render_csv(meta, columns, rows)
+    else:
+        text = render_json(meta, rows)
+    _emit(text, obj["out"])
 
 
-def _parse_ints(text: str, what: str) -> list[int]:
+def _parse_list(text: str, what: str, kind: type) -> list:
     try:
-        vals = [int(t) for t in text.split(",") if t.strip()]
+        vals = [kind(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise click.UsageError(f"bad {what} list {text!r}") from exc
     if not vals:
@@ -285,7 +284,9 @@ def bound(ctx, channel_text, eps, n_text):
 
     def body():
         ch = _channel(channel_text)
-        ns = _parse_ints(n_text, "n")
+        ns = _parse_list(n_text, "n", int)
+        for n in ns:
+            check_second_order_args(eps, n)
         obj = ctx.obj
         ic = maximize_coherent_info(ch, seed=obj["seed"])
         rows = []
@@ -301,15 +302,8 @@ def bound(ctx, channel_text, eps, n_text):
                     "caveat": res.caveat,
                 }
             )
-        meta = _metadata(obj["seed"], ch)
-        fmt = obj["fmt"] or "csv"
-        if fmt == "csv":
-            text = render_csv(
-                meta, ["n", "eps", "ic_bits", "v_eps", "bound_bits", "caveat"], rows
-            )
-        else:
-            text = render_json(meta, rows)
-        _emit(text, obj["out"])
+        columns = ["n", "eps", "ic_bits", "v_eps", "bound_bits", "caveat"]
+        _emit_table(obj, _metadata(obj["seed"], ch), columns, rows)
 
     _guard(body)
 
@@ -435,15 +429,8 @@ def verify(ctx, trials):
             }
             for r in reports
         ]
-        meta = _metadata(obj["seed"], None)
-        fmt = obj["fmt"] or "csv"
-        if fmt == "csv":
-            text = render_csv(
-                meta, ["lemma_id", "trials", "max_violation", "passed"], rows
-            )
-        else:
-            text = render_json(meta, rows)
-        _emit(text, obj["out"])
+        columns = ["lemma_id", "trials", "max_violation", "passed"]
+        _emit_table(obj, _metadata(obj["seed"], None), columns, rows)
         failed = [r.lemma_id for r in reports if not r.passed]
         if failed:
             click.echo("failed: " + ", ".join(failed), err=True)
@@ -466,18 +453,23 @@ def erasure_case(ctx, eps_text, n_text):
     """
 
     def body():
-        eps_list = _parse_floats(eps_text, "eps")
-        ns = _parse_ints(n_text, "n")
-        obj = ctx.obj
-        ch = make_channel("erasure", 0.5)
-        ic = maximize_coherent_info(ch, seed=obj["seed"])
-        rows = []
+        eps_list = _parse_list(eps_text, "eps", float)
+        ns = _parse_list(n_text, "n", int)
+        kept = []
         for eps in eps_list:
             if abs(eps - 0.5) < 1e-12:
                 click.echo("skipping eps = 0.5: outside the dispersion domain", err=True)
                 continue
             if not 0.0 < eps < 1.0:
                 raise click.UsageError(f"eps = {eps} outside (0, 1)")
+            for n in ns:
+                check_second_order_args(eps, n)
+            kept.append(eps)
+        obj = ctx.obj
+        ch = make_channel("erasure", 0.5)
+        ic = maximize_coherent_info(ch, seed=obj["seed"])
+        rows = []
+        for eps in kept:
             regime = "O(1)" if eps < 0.5 else "sqrt(n)"
             for n in ns:
                 res = second_order_bound(ch, eps, n, ic_result=ic)
@@ -489,13 +481,8 @@ def erasure_case(ctx, eps_text, n_text):
                         "regime": regime,
                     }
                 )
-        meta = _metadata(obj["seed"], ch)
-        fmt = obj["fmt"] or "csv"
-        if fmt == "csv":
-            text = render_csv(meta, ["eps", "n", "bound_bits", "regime"], rows)
-        else:
-            text = render_json(meta, rows)
-        _emit(text, obj["out"])
+        columns = ["eps", "n", "bound_bits", "regime"]
+        _emit_table(obj, _metadata(obj["seed"], ch), columns, rows)
 
     _guard(body)
 

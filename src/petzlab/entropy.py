@@ -18,12 +18,13 @@ from .errors import (
     SupportViolationError,
 )
 from .linalg import (
-    SUPPORT_RTOL,
+    PsdSpectrum,
     as_matrix,
     hermitian_fn,
     hermitize,
+    psd_spectrum,
     require_psd,
-    support_projector,
+    support_mask,
 )
 from .qstate import purify
 
@@ -52,12 +53,15 @@ def _pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return r, s
 
 
-def _support_leak(r: np.ndarray, s: np.ndarray) -> float:
-    """Mass of r lying outside the support of s, relative to tr(r)."""
-    pi = support_projector(s)
-    leak = float(np.trace(r @ (np.eye(r.shape[0]) - pi)).real)
-    tr = max(float(np.trace(r).real), 1e-300)
-    return leak / tr
+def _support_pair(rho, sigma) -> tuple[np.ndarray, PsdSpectrum, bool]:
+    """rho as a matrix, the one decomposition of sigma, and whether the mass
+    of rho outside supp(sigma), relative to tr(rho), exceeds
+    SUPPORT_LEAK_RTOL."""
+    r, s = _pair(rho, sigma)
+    sig = psd_spectrum(s)
+    k = sig.kernel()
+    leak = float(np.vdot(k, r @ k).real) / max(float(np.trace(r).real), 1e-300)
+    return r, sig, leak > SUPPORT_LEAK_RTOL
 
 
 def von_neumann_entropy(rho) -> float:
@@ -67,8 +71,7 @@ def von_neumann_entropy(rho) -> float:
 
 
 def _entropy_bits(eigs: np.ndarray) -> float:
-    lam_max = max(float(eigs.max()), 0.0) if eigs.size else 0.0
-    w = eigs[eigs > SUPPORT_RTOL * lam_max]
+    w = eigs[support_mask(eigs)]
     return float(-(w * np.log2(w)).sum())
 
 
@@ -87,23 +90,19 @@ def rel_entropy(rho, sigma) -> EntropyValue:
     A support violation is signaled in the value: bits = +inf, support_ok
     False. sigma may be any positive semidefinite operator.
     """
-    r, s = _pair(rho, sigma)
-    if _support_leak(r, s) > SUPPORT_LEAK_RTOL:
+    r, sig, leaks = _support_pair(rho, sigma)
+    if leaks:
         return EntropyValue(math.inf, False)
-    log_r = hermitian_fn(r, np.log2, on_support=True)
-    log_s = hermitian_fn(s, np.log2, on_support=True)
-    bits = float(np.trace(r @ (log_r - log_s)).real)
-    return EntropyValue(bits, True)
+    delta = hermitian_fn(r, np.log2, on_support=True) - sig.fn(np.log2, on_support=True)
+    return EntropyValue(float(np.trace(r @ delta).real), True)
 
 
 def rel_entropy_variance(rho, sigma) -> EntropyValue:
     """Relative entropy variance tr[rho (log2 rho - log2 sigma)^2] - D^2."""
-    r, s = _pair(rho, sigma)
-    if _support_leak(r, s) > SUPPORT_LEAK_RTOL:
+    r, sig, leaks = _support_pair(rho, sigma)
+    if leaks:
         raise SupportViolationError("rho has support outside supp(sigma)")
-    delta = hermitian_fn(r, np.log2, on_support=True) - hermitian_fn(
-        s, np.log2, on_support=True
-    )
+    delta = hermitian_fn(r, np.log2, on_support=True) - sig.fn(np.log2, on_support=True)
     d_bits = float(np.trace(r @ delta).real)
     v_bits = float(np.trace(r @ delta @ delta).real) - d_bits * d_bits
     return EntropyValue(v_bits, True)
@@ -116,10 +115,10 @@ def exp2_collision(rho, sigma) -> float:
     argument may be any positive semidefinite operator (not necessarily
     normalized); the value scales quadratically with it.
     """
-    r, s = _pair(rho, sigma)
-    if _support_leak(r, s) > SUPPORT_LEAK_RTOL:
+    r, sig, leaks = _support_pair(rho, sigma)
+    if leaks:
         raise SupportViolationError("rho has support outside supp(sigma)")
-    s_inv_half = hermitian_fn(s, lambda x: x ** -0.5, on_support=True)
+    s_inv_half = sig.fn(lambda x: x ** -0.5, on_support=True)
     m = s_inv_half @ r @ s_inv_half
     return float(np.trace(m @ r).real)
 
@@ -133,10 +132,10 @@ def collision_d2(rho, sigma) -> EntropyValue:
 def dmax(rho, sigma) -> EntropyValue:
     """Max-relative entropy log2 of the top eigenvalue of
     sigma^{-1/2} rho sigma^{-1/2}; the least lam with rho <= 2^lam sigma."""
-    r, s = _pair(rho, sigma)
-    if _support_leak(r, s) > SUPPORT_LEAK_RTOL:
+    r, sig, leaks = _support_pair(rho, sigma)
+    if leaks:
         raise SupportViolationError("rho has support outside supp(sigma)")
-    s_inv_half = hermitian_fn(s, lambda x: x ** -0.5, on_support=True)
+    s_inv_half = sig.fn(lambda x: x ** -0.5, on_support=True)
     m = s_inv_half @ r @ s_inv_half
     top = float(np.linalg.eigvalsh((m + m.conj().T) / 2).max())
     return EntropyValue(float(np.log2(top)), True)
@@ -149,8 +148,7 @@ def dmax(rho, sigma) -> EntropyValue:
 
 def _positive_eigs(x: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(hermitize(x))
-    lam_max = max(float(w.max()), 0.0)
-    return w[w > SUPPORT_RTOL * lam_max]
+    return w[support_mask(w)]
 
 
 def _tail_stat(r: np.ndarray, s: np.ndarray, gamma: float) -> float:

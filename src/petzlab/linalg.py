@@ -1,9 +1,10 @@
 """Dense complex linear algebra used throughout the package.
 
-Hermitian eigendecompositions, matrix functions evaluated on supports
-(pseudo-inverse and pseudo-log semantics), partial traces and support
-projectors. Cutoffs are relative to the largest eigenvalue so routines are
-scale invariant. Logarithms are base 2 package-wide.
+Hermitian eigendecompositions, partial traces, and one decomposition per
+PSD matrix (psd_spectrum) whose support, kernel, rank and matrix functions
+(pseudo-inverse and pseudo-log semantics) are views. support_mask is the one
+support rule; its cutoff is relative to the largest eigenvalue, so routines
+are scale invariant. Logarithms are base 2 package-wide.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import (
     NotPSDError,
 )
 
-# eigenvalue counts as zero iff lam <= SUPPORT_RTOL * lam_max
+# support_mask: an eigenvalue counts as zero iff it is at most this times lam_max
 SUPPORT_RTOL = 1e-10
 # accepted Hermiticity defect, relative to the largest matrix entry
 HERMITICITY_RTOL = 1e-9
@@ -73,8 +74,48 @@ def hermitian_eig(x) -> HermitianEig:
     return HermitianEig(w[::-1].copy(), v[:, ::-1].copy())
 
 
-def _psd_eig(x) -> HermitianEig:
-    """Eigendecomposition with the PSD tolerance policy applied.
+def support_mask(w: np.ndarray) -> np.ndarray:
+    """The one support rule: an eigenvalue counts as zero iff it is at or
+    below SUPPORT_RTOL times the largest (non-negative) eigenvalue."""
+    lam_max = max(float(w.max()), 0.0) if w.size else 0.0
+    return w > SUPPORT_RTOL * lam_max
+
+
+class PsdSpectrum(NamedTuple):
+    """Clamped spectrum of a PSD matrix (eigenvalues descending, eigenvectors
+    in columns) with its support mask; every support quantity is a view."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    support: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.support))
+
+    def fn(self, f: Callable, on_support: bool = False) -> np.ndarray:
+        """f applied to the eigenvalues; with on_support=True, eigenvalues
+        outside the support map to 0 instead of f(0), giving pseudo-inverse
+        and pseudo-log semantics."""
+        w, v = self.eigenvalues, self.eigenvectors
+        on = self.support if on_support else slice(None)
+        fw = np.zeros_like(w)
+        fw[on] = f(w[on])
+        return (v * fw) @ v.conj().T
+
+    def basis(self) -> np.ndarray:
+        return self.eigenvectors[:, self.support]
+
+    def kernel(self) -> np.ndarray:
+        return self.eigenvectors[:, ~self.support]
+
+    def projector(self) -> np.ndarray:
+        b = self.basis()
+        return b @ b.conj().T
+
+
+def psd_spectrum(x) -> PsdSpectrum:
+    """Decompose a PSD matrix once, with the PSD tolerance policy applied.
 
     Negative eigenvalues within -PSD_HARD_RTOL * lam_max are clamped to zero;
     anything below that band raises NotPSD.
@@ -82,7 +123,8 @@ def _psd_eig(x) -> HermitianEig:
     w, v = hermitian_eig(x)
     if w.size:
         require_psd(float(w[-1]), float(w[0]))
-    return HermitianEig(np.maximum(w, 0.0), v)
+    w = np.maximum(w, 0.0)
+    return PsdSpectrum(w, v, support_mask(w))
 
 
 def require_psd(lam_min: float, lam_max: float) -> None:
@@ -99,50 +141,29 @@ def require_psd(lam_min: float, lam_max: float) -> None:
 def hermitian_fn(
     x, fn: Callable[[np.ndarray], np.ndarray], on_support: bool = False
 ) -> np.ndarray:
-    """Apply a scalar function to the eigenvalues of a PSD matrix.
-
-    With on_support=True, eigenvalues at or below the support cutoff map to 0
-    instead of fn(0), giving pseudo-inverse / pseudo-log semantics.
-    """
-    w, v = _psd_eig(x)
-    lam_max = float(w[0]) if w.size else 0.0
-    fw = np.zeros_like(w)
-    if on_support:
-        mask = w > SUPPORT_RTOL * lam_max
-        if mask.any():
-            fw[mask] = fn(w[mask])
-    else:
-        fw = np.asarray(fn(w), dtype=float)
-    return (v * fw) @ v.conj().T
+    """Apply a scalar function to the eigenvalues of a PSD matrix (see
+    PsdSpectrum.fn for on_support)."""
+    return psd_spectrum(x).fn(fn, on_support)
 
 
 def support_projector(x) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a PSD matrix."""
-    w, v = _psd_eig(x)
-    lam_max = float(w[0]) if w.size else 0.0
-    vk = v[:, w > SUPPORT_RTOL * lam_max]
-    return vk @ vk.conj().T
+    return psd_spectrum(x).projector()
 
 
 def support_basis(x) -> np.ndarray:
     """Orthonormal eigenbasis of the support of a PSD matrix, as columns."""
-    w, v = _psd_eig(x)
-    lam_max = float(w[0]) if w.size else 0.0
-    return v[:, w > SUPPORT_RTOL * lam_max]
+    return psd_spectrum(x).basis()
 
 
 def kernel_basis(x) -> np.ndarray:
     """Orthonormal basis of the numerical kernel of a PSD matrix, as columns."""
-    w, v = _psd_eig(x)
-    lam_max = float(w[0]) if w.size else 0.0
-    return v[:, w <= SUPPORT_RTOL * lam_max]
+    return psd_spectrum(x).kernel()
 
 
 def support_rank(x) -> int:
     """Number of eigenvalues above the relative support cutoff."""
-    w, _ = _psd_eig(x)
-    lam_max = float(w[0]) if w.size else 0.0
-    return int(np.count_nonzero(w > SUPPORT_RTOL * lam_max))
+    return psd_spectrum(x).rank
 
 
 def partial_trace(x, keep: str, dims: tuple[int, int]) -> np.ndarray:

@@ -10,7 +10,7 @@ completion state (the normalized S by default).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -26,16 +26,7 @@ from .errors import (
     RankDeficientRhoError,
 )
 from .entropy import exp2_collision
-from .linalg import (
-    as_matrix,
-    hermitian_eig,
-    hermitian_fn,
-    hermitize,
-    kernel_basis,
-    support_basis,
-    support_projector,
-    support_rank,
-)
+from .linalg import as_matrix, hermitian_eig, hermitize, psd_spectrum
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -79,25 +70,25 @@ def build_code(rho: DensityMatrix, projector) -> CodeSpec:
     m = int(round(float(np.trace(p).real)))
     if m < 1:
         raise EmptyCodeError("projector has rank zero")
-    if support_rank(r) < d:
+    rt = psd_spectrum(d * r)
+    if rt.rank < d:
         raise RankDeficientRhoError(
             "input state is rank deficient; restrict to its support first"
         )
-    sqrt_rt = hermitian_fn(d * r, np.sqrt)
+    sqrt_rt = rt.fn(np.sqrt)
     s = hermitize(sqrt_rt @ p @ sqrt_rt)
-    if support_rank(s) != m:
-        raise NumericsError(
-            f"code operator rank {support_rank(s)} != projector rank {m}"
-        )
-    s_inv_half = hermitian_fn(s, lambda x: x ** -0.5, on_support=True)
-    v = support_basis(p)
+    s_spec = psd_spectrum(s)
+    if s_spec.rank != m:
+        raise NumericsError(f"code operator rank {s_spec.rank} != projector rank {m}")
+    s_inv_half = s_spec.fn(lambda x: x ** -0.5, on_support=True)
+    v = psd_spectrum(p).basis()
     code_basis = Subspace(s_inv_half @ sqrt_rt @ v)
-    resid = float(np.abs(code_basis.projector() - support_projector(s)).max())
+    resid = float(np.abs(code_basis.projector() - s_spec.projector()).max())
     if resid > 1e-8:
         raise NumericsError(f"code basis does not span supp S (residual {resid:.3e})")
-    return CodeSpec(
-        rho=DensityMatrix(r), projector=p, m=m, s=s, code_basis=code_basis
-    )
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(r)
+    return CodeSpec(rho=rho, projector=p, m=m, s=s, code_basis=code_basis)
 
 
 @dataclass(frozen=True)
@@ -123,31 +114,33 @@ def petz_decoder(
         raise DimensionMismatchError(
             f"channel input {ch.d_in} != code dimension {code.s.shape[0]}"
         )
-    ns = hermitize(ch.apply_mat(code.s))
-    ns_inv_half = hermitian_fn(ns, lambda x: x ** -0.5, on_support=True)
-    s_half = hermitian_fn(code.s, np.sqrt)
+    ns = psd_spectrum(ch.apply_mat(code.s))
+    s_spec = psd_spectrum(code.s)
+    s_half = s_spec.fn(np.sqrt)
+    ns_inv_half = ns.fn(lambda x: x ** -0.5, on_support=True)
     base_kraus = s_half @ ch.kraus_stack.conj().transpose(0, 2, 1) @ ns_inv_half
     base = Channel(ch.d_out, ch.d_in, base_kraus, trace_preserving=False)
 
     if completion_state is None:
-        tau = DensityMatrix(code.s / float(np.trace(code.s).real))
+        tr = float(np.trace(code.s).real)
+        tau = DensityMatrix(code.s / tr)
+        w_t, v_t = s_spec.eigenvalues / tr, s_spec.eigenvectors
     else:
         tau = completion_state
         if tau.dim != ch.d_in:
             raise DimensionMismatchError(
                 f"completion state dimension {tau.dim} != {ch.d_in}"
             )
-        pi_s = support_projector(code.s)
-        leak = float(np.trace(tau.mat @ (np.eye(ch.d_in) - pi_s)).real)
-        if leak > 1e-9:
+        k = s_spec.kernel()
+        if float(np.vdot(k, tau.mat @ k).real) > 1e-9:
             raise BadParameterError(
                 "completion state has support outside the code operator"
             )
+        w_t, v_t = hermitian_eig(tau.mat)
 
     # one Kraus operator sqrt(t) |t><k| per eigenpair (t, |t>) of tau and
     # kernel vector |k> of N(S)
-    missing = kernel_basis(ns)
-    w_t, v_t = hermitian_eig(tau.mat)
+    missing = ns.kernel()
     keep = w_t > 1e-12 * max(float(w_t[0]), 1e-300)
     cols = v_t[:, keep] * np.sqrt(w_t[keep])
     completion_kraus = np.einsum("ai,bj->ijab", cols, missing.conj()).reshape(

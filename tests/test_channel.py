@@ -282,6 +282,16 @@ def test_parse_channel_names():
         parse_channel("identity:x")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["identity:2.5", "erasure:0.3:2.5", "depolarizing:0.1:3.7", "erasure:0.3:0",
+     "depolarizing:0.1:inf"],
+)
+def test_parse_channel_rejects_non_integer_dimension(text):
+    with pytest.raises(BadParameterError, match="dimension"):
+        parse_channel(text)
+
+
 def test_load_channel_file(tmp_path):
     ch = make_channel("dephasing", 0.3)
     path = tmp_path / "ch.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import petzlab.cli as cli_module
 from petzlab.cli import (
     COMPLETION_CHOICE,
     LemmaReport,
@@ -348,6 +349,28 @@ def test_erasure_case_sqrt_scaling(erasure_case_result):
 def test_erasure_case_rejects_out_of_range_eps(runner):
     res = runner.invoke(cli, ["erasure-case", "--eps", "1.5", "--n", "4"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["bound", "--channel", "dephasing:0.1", "--eps", "0.25", "--n", "100,0"],
+         "n = 0 must be >= 1"),
+        (["bound", "--channel", "dephasing:0.1", "--eps", "0.5", "--n", "100"],
+         "dispersion is defined only for eps != 1/2"),
+        (["erasure-case", "--eps", "0.25", "--n", "-5"], "n = -5 must be >= 1"),
+        (["erasure-case", "--eps", "0.5,1.5", "--n", "4"], "eps = 1.5 outside (0, 1)"),
+        (["erasure-case", "--eps", "-0.1", "--n", "-5"], "eps = -0.1 outside (0, 1)"),
+    ],
+)
+def test_bad_inputs_rejected_before_the_optimizer(runner, monkeypatch, args, message):
+    def forbidden(*a, **k):
+        raise AssertionError("optimizer ran before the inputs were checked")
+
+    monkeypatch.setattr(cli_module, "maximize_coherent_info", forbidden)
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2
+    assert message in res.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,8 @@ def test_support_leak_policy():
         rel_entropy_variance(rho, sig)
     with pytest.raises(SupportViolationError):
         exp2_collision(rho, sig)
+    with pytest.raises(SupportViolationError):
+        dmax(rho, sig)
 
 
 def test_rel_entropy_supports_rank_deficient_first_argument():

@@ -13,7 +13,15 @@ from petzlab.errors import (
     NotUnitaryError,
     RankDeficientRhoError,
 )
-from petzlab.linalg import hermitize, support_projector
+from petzlab.entropy import exp2_collision, rel_entropy
+from petzlab.linalg import (
+    hermitian_eig,
+    hermitian_fn,
+    hermitize,
+    kernel_basis,
+    support_basis,
+    support_projector,
+)
 from petzlab.petz import (
     CodeSpec,
     DephasingMap,
@@ -268,16 +276,19 @@ def test_code_max_entangled_reduces_to_mixed():
 
 FIDELITY_PATH_ATOL = 1e-12
 
-
-@seed(11)
-@settings(max_examples=60, deadline=None)
-@given(
+# (key, d, d_out, kraus_count, m) for a random channel and code
+random_scheme = given(
     st.integers(0, 2**32 - 1),
     st.integers(2, 4),
     st.integers(1, 5),
     st.integers(1, 4),
     st.integers(1, 4),
 )
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@random_scheme
 def test_ent_fidelity_matches_choi_state_reference(key, d, d_out, kraus_count, m):
     # reference: <phi| (id (x) R N)(phi) |phi> on the code's maximally
     # entangled state, for the total decoder and its trace-decreasing base
@@ -295,6 +306,74 @@ def test_ent_fidelity_matches_choi_state_reference(key, d, d_out, kraus_count, m
         assert ent_fidelity(ch, r, code.code_basis) == pytest.approx(
             expect, abs=FIDELITY_PATH_ATOL
         )
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@random_scheme
+def test_decoder_matches_separate_decomposition_reference(key, d, d_out, kraus_count, m):
+    # reference: every operator from its own hermitian_fn / kernel_basis /
+    # hermitian_eig call, not from the one decomposition per operator that
+    # build_code and petz_decoder share
+    m = min(m, d)
+    kraus_count = max(kraus_count, -(-d // d_out))
+    rng = keyed_stream(key, "decoder-reference")
+    ch = random_channel(d, d_out, kraus_count, rng)
+    rho, p = conditioned_state(d, rng), haar_projector(d, m, rng)
+    code = build_code(rho, p)
+    dec = petz_decoder(ch, code)
+
+    s_inv_half = hermitian_fn(code.s, lambda x: x ** -0.5, on_support=True)
+    sqrt_rt = hermitian_fn(d * rho.mat, np.sqrt)
+    np.testing.assert_allclose(
+        code.code_basis.basis, s_inv_half @ sqrt_rt @ support_basis(p),
+        rtol=0, atol=FIDELITY_PATH_ATOL,
+    )
+    ns = hermitize(ch.apply_mat(code.s))
+    base = (
+        hermitian_fn(code.s, np.sqrt)
+        @ ch.kraus_stack.conj().transpose(0, 2, 1)
+        @ hermitian_fn(ns, lambda x: x ** -0.5, on_support=True)
+    )
+    np.testing.assert_allclose(
+        dec.base.kraus_stack, base, rtol=0, atol=FIDELITY_PATH_ATOL
+    )
+    w_t, v_t = hermitian_eig(code.s / np.trace(code.s).real)
+    keep = w_t > 1e-12 * w_t[0]
+    cols = v_t[:, keep] * np.sqrt(w_t[keep])
+    completion = np.einsum("ai,bj->ijab", cols, kernel_basis(ns).conj())
+    reference = Channel(
+        d_out, d, np.concatenate([base, completion.reshape(-1, d, d_out)]), True
+    )
+    # the completion's Kraus operators depend on the eigenbases chosen, its
+    # Choi operator does not
+    np.testing.assert_allclose(
+        dec.total.choi(), reference.choi(), rtol=0, atol=FIDELITY_PATH_ATOL
+    )
+
+
+def test_each_operator_decomposed_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    rng = keyed_stream(0, "eigh-count")
+    d = 4
+    ch = random_channel(d, 3, 2, rng)
+    code = build_code(conditioned_state(d, rng), haar_projector(d, 2, rng))
+    petz_decoder(ch, code)
+    assert len(calls) <= 5
+    rho, sigma = conditioned_state(d, rng).mat, conditioned_state(d, rng).mat
+    calls.clear()
+    rel_entropy(rho, sigma)
+    assert len(calls) == 2
+    calls.clear()
+    exp2_collision(rho, sigma)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
