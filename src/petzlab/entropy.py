@@ -30,6 +30,8 @@ from .qstate import purify
 
 # admissible relative leakage of rho outside the support of sigma
 SUPPORT_LEAK_RTOL = 1e-9
+# width of the bracket at which ds_eps stops bisecting
+DS_EPS_RESOLUTION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ def _tail_stat(r: np.ndarray, s: np.ndarray, gamma: float) -> float:
     return float(np.einsum("ic,ij,jc->", cols.conj(), r, cols).real)
 
 
-def ds_eps(rho, sigma, eps: float, resolution: float = 1e-12) -> EntropyValue:
+def ds_eps(rho, sigma, eps: float) -> EntropyValue:
     """Information spectrum relative entropy
     sup{gamma : tr(rho {rho <= 2^gamma sigma}) <= eps}.
 
@@ -169,7 +171,7 @@ def ds_eps(rho, sigma, eps: float, resolution: float = 1e-12) -> EntropyValue:
     so the tail statistic is right-continuous and increases from 0 to 1 in
     gamma (for states with compatible supports). Candidate jump locations
     log2(p_i / q_j) over the positive spectra are scanned in ascending order
-    and the crossing is refined by bisection down to `resolution`. A
+    and the crossing is refined by bisection down to DS_EPS_RESOLUTION. A
     non-monotone scan, possible for non-commuting pairs, is reported in the
     diagnostics and resolved by taking the first crossing.
     """
@@ -224,7 +226,7 @@ def ds_eps(rho, sigma, eps: float, resolution: float = 1e-12) -> EntropyValue:
         a = g
     b = bracket
 
-    while b - a > resolution:
+    while b - a > DS_EPS_RESOLUTION:
         mid = 0.5 * (a + b)
         if _tail_stat(r, s, mid) <= eps:
             a = mid
@@ -338,6 +340,14 @@ def coherent_info(ch, rho) -> float:
     it must be Hermitian, finite, of dimension ch.d_in, and positive
     semidefinite within the band of linalg.require_psd.
     """
+    out, env = _output_and_environment(ch, rho)
+    return _entropy_bits(np.linalg.eigvalsh(out)) - _entropy_bits(
+        np.linalg.eigvalsh(env)
+    )
+
+
+def _output_and_environment(ch, rho) -> tuple[np.ndarray, np.ndarray]:
+    """N(rho) and N^c(rho)[k, l] = tr(K_k rho K_l†) for a validated rho."""
     r = as_matrix(rho)
     if r.shape[0] != ch.d_in:
         raise DimensionMismatchError(
@@ -350,9 +360,23 @@ def coherent_info(ch, rho) -> float:
     kr = k @ r
     out = (kr @ k.conj().transpose(0, 2, 1)).sum(0)
     env = kr.reshape(len(k), -1) @ k.reshape(len(k), -1).conj().T
-    return _entropy_bits(np.linalg.eigvalsh(out)) - _entropy_bits(
-        np.linalg.eigvalsh(env)
-    )
+    return out, env
+
+
+def _coherent_info_gradient(ch, rho) -> np.ndarray:
+    """Gradient G of coherent_info at rho: d I_c = tr(G X) along a traceless
+    Hermitian X. G = N^c†(log2 N^c(rho)) - N†(log2 N(rho)), with the logs on
+    the supports and N^c†(L) = Σ_kl L[l, k] K_l† K_k. With the Kraus stack
+    as the Stinespring isometry V (shape r d_out x d_in), that is
+    G = V† (L_E (x) I - I (x) L_B) V. The 1/ln 2 terms cancel because
+    N†(I) = N^c†(I) = Σ_k K_k† K_k."""
+    out, env = _output_and_environment(ch, rho)
+    log_out = psd_spectrum(out).fn(np.log2, on_support=True)
+    log_env = psd_spectrum(env).fn(np.log2, on_support=True)
+    k = ch.kraus_stack
+    v = k.reshape(-1, ch.d_in)
+    g = np.kron(log_env, np.eye(ch.d_out)) - np.kron(np.eye(len(k)), log_out)
+    return v.conj().T @ g @ v
 
 
 def channel_variance(ch, rho) -> float:

@@ -8,6 +8,7 @@ import petzlab.entropy as entropy_module
 from petzlab.channel import make_channel, random_channel
 from petzlab.entropy import (
     EntropyValue,
+    _coherent_info_gradient,
     _entropy_bits,
     binary_entropy,
     channel_variance,
@@ -372,6 +373,35 @@ def test_coherent_info_matches_purification_on_named_channels(key, spec, rank):
     assert coherent_info(ch, rho) == pytest.approx(
         purification_ic(ch, rho), abs=IC_PATH_ATOL
     )
+
+
+@seed(7)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+def test_coherent_info_gradient_matches_central_differences(key, d, d_out, kraus_count):
+    # complex Kraus operators: on real ones a transposed N^c† gives the same G
+    if d_out * kraus_count < d:
+        d_out = d
+    rng = keyed_stream(key, "ic-gradient")
+    ch = random_channel(d, d_out, kraus_count, rng)
+    # full rank keeps the output supports fixed under the perturbation
+    rho = 0.5 * random_rank_state(d, d, rng) + 0.5 * np.eye(d) / d
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = g + g.conj().T
+    h -= np.trace(h).real / d * np.eye(d)
+    h /= np.linalg.norm(h)
+    step = 1e-5
+    central = (coherent_info(ch, rho + step * h) - coherent_info(ch, rho - step * h)) / (
+        2 * step
+    )
+    grad = _coherent_info_gradient(ch, rho)
+    assert np.abs(grad - grad.conj().T).max() < 1e-12
+    assert np.trace(grad @ h).real == pytest.approx(central, abs=1e-7)
 
 
 def test_coherent_info_does_not_build_the_purification(monkeypatch):
