@@ -95,7 +95,7 @@ def preset_split(eps: float, n: int, d: int, purity: float) -> OneShotParams:
 
 @dataclass(frozen=True)
 class OneShotResult:
-    """The two bound terms in bits, their minimum, and the implied error."""
+    """The bound terms in bits, their minimum, the implied error, and both ds_eps results."""
 
     term1_bits: float
     term2_bits: float
@@ -103,6 +103,8 @@ class OneShotResult:
     implied_eps: float
     ds1_bits: float
     ds2_bits: float
+    ds1_diagnostics: tuple[str, ...]
+    ds2_diagnostics: tuple[str, ...]
 
 
 def one_shot_rhs(ch: Channel, rho: DensityMatrix, params: OneShotParams) -> OneShotResult:
@@ -145,6 +147,8 @@ def one_shot_rhs(ch: Channel, rho: DensityMatrix, params: OneShotParams) -> OneS
         implied_eps=float(implied),
         ds1_bits=float(ds1.bits),
         ds2_bits=float(ds2.bits),
+        ds1_diagnostics=ds1.diagnostics,
+        ds2_diagnostics=ds2.diagnostics,
     )
 
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from .errors import (
     DimensionMismatchError,
@@ -30,7 +31,7 @@ from .qstate import purify
 
 # admissible relative leakage of rho outside the support of sigma
 SUPPORT_LEAK_RTOL = 1e-9
-# width of the bracket at which ds_eps stops bisecting
+# xtol of the root-finder that locates a ds_eps crossing inside a segment
 DS_EPS_RESOLUTION = 1e-12
 
 
@@ -148,91 +149,85 @@ def dmax(rho, sigma) -> EntropyValue:
 # ---------------------------------------------------------------------------
 
 
-def _positive_eigs(x: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(hermitize(x))
-    return w[support_mask(w)]
+def _tail_stat(r: np.ndarray, s: np.ndarray, gamma: float) -> tuple[float, float]:
+    """T(gamma) = tr(rho P), P onto the eigenvectors of 2^gamma sigma - rho
+    with eigenvalue >= -tol, and its left limit T(gamma-), which leaves out
+    the null ones (|eigenvalue| <= tol); tol = 1e-12 max(2^gamma |s|, |r|)."""
+    t = 2.0 ** gamma
+    w, v = np.linalg.eigh(t * s - r)
+    mass = (v.conj() * (r @ v)).sum(0).real
+    tol = 1e-12 * max(t * float(np.abs(s).max()), float(np.abs(r).max()))
+    return float(mass[w >= -tol].sum()), float(mass[w > tol].sum())
 
 
-def _tail_stat(r: np.ndarray, s: np.ndarray, gamma: float) -> float:
-    """tr(rho P(gamma)) where P projects onto the non-negative eigenspace of
-    2^gamma sigma - rho."""
-    h = hermitize((2.0 ** gamma) * s - r)
-    w, v = np.linalg.eigh(h)
-    scale = max(float(np.abs(w).max()), 1e-300)
-    cols = v[:, w >= -1e-12 * scale]
-    return float(np.einsum("ic,ij,jc->", cols.conj(), r, cols).real)
+def _breakpoints(r: np.ndarray, sig: PsdSpectrum, leaks: bool) -> np.ndarray:
+    """Ascending log2 of the positive generalized eigenvalues of (rho, sigma),
+    merged within 1e-13: the eigenvalues of Σ^{-1/2} B†ρB Σ^{-1/2}, with B the
+    support basis of sigma and Σ its positive eigenvalues. When rho leaks onto
+    ker sigma, the Schur complement ρ₁₁ - ρ₁₂ρ₂₂⁺ρ₂₁ replaces B†ρB."""
+    b = sig.basis()
+    m = b.conj().T @ r @ b
+    if leaks:
+        k = sig.kernel()
+        r12 = b.conj().T @ r @ k
+        r22 = psd_spectrum(k.conj().T @ r @ k)
+        m = m - r12 @ r22.fn(np.reciprocal, on_support=True) @ r12.conj().T
+    inv_half = sig.eigenvalues[sig.support] ** -0.5
+    w = np.linalg.eigvalsh(inv_half[:, None] * m * inv_half)
+    bps = np.log2(w[support_mask(w)])
+    return bps[np.diff(bps, prepend=-np.inf) > 1e-13]
+
+
+def _segment_root(r, s, eps: float, a, t_a, b: float, t_b: float) -> float:
+    """Root of T - eps on [a, b], T continuous, T(a) = t_a <= eps < t_b = T(b-);
+    with a None, first step left of b by 8 bits, up to 80 times, to T <= eps."""
+    if a is None:
+        for a in b - 1.0 - 8.0 * np.arange(80):
+            t_a = _tail_stat(r, s, a)[0]
+            if t_a <= eps:
+                break
+        else:
+            raise OutOfRangeError("tail statistic does not drop below eps")
+    known = {a: t_a, b: t_b}
+    excess = lambda g: (known[g] if g in known else _tail_stat(r, s, g)[0]) - eps  # noqa: E731
+    return float(optimize.brentq(excess, a, b, xtol=DS_EPS_RESOLUTION))
 
 
 def ds_eps(rho, sigma, eps: float) -> EntropyValue:
     """Information spectrum relative entropy
     sup{gamma : tr(rho {rho <= 2^gamma sigma}) <= eps}.
 
-    {X <= Y} denotes the projector onto the non-negative eigenspace of Y - X,
-    so the tail statistic is right-continuous and increases from 0 to 1 in
-    gamma (for states with compatible supports). Candidate jump locations
-    log2(p_i / q_j) over the positive spectra are scanned in ascending order
-    and the crossing is refined by bisection down to DS_EPS_RESOLUTION. A
-    non-monotone scan, possible for non-commuting pairs, is reported in the
-    diagnostics and resolved by taking the first crossing.
+    {X <= Y} is the projector onto the non-negative eigenspace of Y - X, so
+    the tail statistic T is right-continuous; it jumps only at the
+    _breakpoints, scanned upward until T > eps. A jump across eps returns the
+    breakpoint; a crossing inside a segment is found by Brent's method to
+    DS_EPS_RESOLUTION. Past the last breakpoint T is constant unless rho
+    leaks off supp(sigma); then it rises toward tr(B†ρB), and below that the
+    scan steps out by 8 bits, up to 16 times. +inf: T never exceeds eps. A
+    non-monotone scan is reported in the diagnostics; the first crossing counts.
     """
     if not 0.0 < eps < 1.0:
         raise OutOfRangeError(f"eps {eps!r} outside (0, 1)")
-    r, s = _pair(rho, sigma)
-    p = _positive_eigs(r)
-    q = _positive_eigs(s)
-    if p.size == 0 or q.size == 0:
+    r, s = (hermitize(x) for x in _pair(rho, sigma))
+    _, sig, leaks = _support_pair(r, s)
+    if sig.rank == 0 or not float(np.trace(r).real) > 0.0:
         raise OutOfRangeError("both operators must be nonzero")
-
-    bps = np.unique(np.log2(np.outer(p, 1.0 / q)).reshape(-1))
-    bps = bps[np.concatenate(([True], np.diff(bps) > 1e-13))]
-
-    lo = float(bps[0]) - 1.0
-    hi = float(bps[-1]) + 1.0
-    for _ in range(80):
-        if _tail_stat(r, s, lo) <= eps:
-            break
-        lo -= 8.0
-    else:
-        raise OutOfRangeError("tail statistic does not drop below eps")
-    if _tail_stat(r, s, hi) <= eps:
-        for _ in range(16):
-            hi += 8.0
-            if _tail_stat(r, s, hi) > eps:
-                break
-        else:
-            return EntropyValue(math.inf, False, ("tail never exceeds eps",))
-
-    # ascending scan over midpoints between candidate jumps
-    grid = [lo]
-    grid.extend(0.5 * (bps[:-1] + bps[1:]))
-    grid.append(hi)
+    bps = _breakpoints(r, sig, leaks)
+    if leaks and eps < float(np.vdot(sig.basis(), r @ sig.basis()).real):
+        last = bps[-1] if bps.size else 0.0
+        bps = np.concatenate((bps, last + 1.0 + 8.0 * np.arange(17)))
     diagnostics: tuple[str, ...] = ()
-    prev = -math.inf
-    bracket = None
-    for g in grid:
-        val = _tail_stat(r, s, g)
-        if val < prev - 1e-10 and not diagnostics:
+    lo = t_lo = None
+    for g in bps:
+        t, left = _tail_stat(r, s, g)
+        if t_lo is not None and left < t_lo - 1e-10 and not diagnostics:
             diagnostics = ("tail statistic not monotone on the scan grid",)
-        prev = val
-        if val > eps:
-            bracket = g
-            break
-    if bracket is None:
-        bracket = hi
-    a = lo
-    for g in grid:
-        if g >= bracket:
-            break
-        a = g
-    b = bracket
-
-    while b - a > DS_EPS_RESOLUTION:
-        mid = 0.5 * (a + b)
-        if _tail_stat(r, s, mid) <= eps:
-            a = mid
-        else:
-            b = mid
-    return EntropyValue(0.5 * (a + b), True, diagnostics)
+        if t > eps:
+            if left > eps:
+                g = _segment_root(r, s, eps, lo, t_lo, g, left)
+            return EntropyValue(float(g), True, diagnostics)
+        lo, t_lo = g, t
+    return EntropyValue(math.inf, False, ("tail never exceeds eps",))
 
 
 # ---------------------------------------------------------------------------

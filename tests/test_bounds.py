@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import petzlab.bounds as bounds_module
 from petzlab.bounds import (
     CoherentInfoResult,
     OneShotParams,
@@ -16,6 +17,7 @@ from petzlab.bounds import (
 )
 from petzlab.channel import make_channel
 from petzlab.entropy import (
+    EntropyValue,
     binary_entropy,
     channel_variance,
     coherent_info,
@@ -128,6 +130,21 @@ def test_one_shot_identity_qubit_assembly():
     assert res.bound_bits == pytest.approx(min(t1, t2), abs=1e-12)
     assert res.implied_eps == pytest.approx(params.implied_eps, abs=1e-12)
     assert np.isfinite(res.bound_bits)
+    assert res.ds1_diagnostics == () and res.ds2_diagnostics == ()
+
+
+def test_one_shot_result_carries_the_ds_eps_diagnostics(monkeypatch):
+    real = bounds_module.ds_eps
+
+    def flagged(rho, sigma, eps):
+        value = real(rho, sigma, eps)
+        return EntropyValue(value.bits, value.support_ok, (f"flag {eps}",))
+
+    monkeypatch.setattr(bounds_module, "ds_eps", flagged)
+    params = preset_split(0.1, 1, 2, purity=0.5)
+    res = one_shot_rhs(make_channel("identity", 2), DensityMatrix(np.eye(2) / 2), params)
+    assert res.ds1_diagnostics == (f"flag {params.delta1}",)
+    assert res.ds2_diagnostics == (f"flag {params.delta2}",)
 
 
 def test_one_shot_bound_monotone_in_delta1():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, linalg, optimize
 
 import petzlab.entropy as entropy_module
 from petzlab.channel import make_channel, random_channel
@@ -35,7 +35,7 @@ from petzlab.errors import (
     SupportViolationError,
 )
 from petzlab.linalg import hermitize, partial_trace
-from petzlab.qstate import keyed_stream, haar_unitary
+from petzlab.qstate import haar_unitary, keyed_stream, purify
 
 ORACLE_ATOL = 1e-9
 ICDF_ATOL = 1e-6
@@ -224,6 +224,135 @@ def test_ds_eps_monotone_in_eps(eps):
     lo = ds_eps(rho, sig, eps).bits
     hi = ds_eps(rho, sig, min(eps + 0.04, 0.99)).bits
     assert hi >= lo - 1e-9
+
+
+@seed(13)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.floats(1e-6, 1 - 1e-6))
+def test_ds_eps_matches_scalar_oracle_to_round_off_on_commuting_pairs(key, d, eps):
+    # the floor keeps the rotated input well conditioned: u diag(q) u† fixes a
+    # small q_i only to relative accuracy 1e-16 max(q) / q_i, which at
+    # q_i ~ 1e-5 alone moves log2(p_i / q_i) by several 1e-12
+    rng = keyed_stream(key, "ds-commuting")
+    p = rng.dirichlet(np.ones(d)) + 0.01
+    p /= p.sum()
+    q = rng.dirichlet(np.ones(d)) + 0.01
+    q /= q.sum()
+    u = haar_unitary(d, rng)
+    rho = u @ np.diag(p) @ u.conj().T
+    sig = u @ np.diag(q) @ u.conj().T
+    assert ds_eps(rho, sig, eps).bits == pytest.approx(
+        ds_scalar_oracle(p, q, eps), abs=1e-12
+    )
+
+
+def independent_tail(rho, sigma, gamma):
+    """tr(rho P) with P onto the eigenvectors of 2^gamma sigma - rho whose
+    eigenvalue is >= 0, from scipy's eigensolver."""
+    w, v = linalg.eigh(2.0**gamma * sigma - rho)
+    cols = v[:, w >= 0.0]
+    return float(np.trace(cols.conj().T @ rho @ cols).real)
+
+
+def generalized_breakpoints(rho, sigma):
+    """log2 of the positive generalized eigenvalues of (rho, sigma) on the
+    support of sigma, from scipy's generalized eigensolver."""
+    w, v = linalg.eigh(sigma)
+    keep = w > 1e-10 * w[-1]
+    b = v[:, keep]
+    lam = linalg.eigh(b.conj().T @ rho @ b, np.diag(w[keep]), eigvals_only=True)
+    return np.log2(lam[lam > 1e-10 * lam[-1]])
+
+
+TAIL_STEP = 1e-7
+
+
+@seed(17)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.sampled_from(["full-rank", "singular-sigma", "pure-rho"]),
+    st.floats(1e-6, 1 - 1e-6),
+)
+def test_ds_eps_crosses_an_independent_tail_statistic(key, d, kind, eps):
+    rng = keyed_stream(key, "ds-non-commuting")
+    sig = random_rank_state(d, d - 1 if kind == "singular-sigma" else d, rng)
+    if kind == "singular-sigma":
+        # rho inside supp(sigma)
+        b = np.linalg.eigh(sig)[1][:, 1:]
+        x = random_rank_state(d - 1, d - 1, rng)
+        rho = b @ x @ b.conj().T
+    else:
+        rho = random_rank_state(d, 1 if kind == "pure-rho" else d, rng)
+    got = ds_eps(rho, sig, eps)
+    assert got.support_ok and np.isfinite(got.bits)
+    g = got.bits
+    # T stays at or below eps just left of the answer and exceeds it just
+    # right of it, within a tolerance scaled to the operands
+    tol = 1e-10 * max(np.abs(rho).max(), 2.0**g * np.abs(sig).max())
+    assert independent_tail(rho, sig, g - TAIL_STEP) <= eps + tol
+    assert independent_tail(rho, sig, g + TAIL_STEP) > eps
+    # first crossing: no earlier breakpoint already carries T past eps
+    for b in generalized_breakpoints(rho, sig):
+        if b < g - TAIL_STEP:
+            assert independent_tail(rho, sig, b) <= eps + tol
+
+
+def test_ds_eps_depolarizing_term1_is_the_classical_quantile():
+    # omega_RB of depolarizing:0.15:8 at I/d commutes with I (x) N(I/d) = I/d:
+    # omega has eigenvalue 1 - p + p/d^2 once and p/d^2 (d^2 - 1) times
+    p, d = 0.15, 8
+    ch = make_channel("depolarizing", p, d)
+    pi = np.eye(d) / d
+    omega = reference_output(ch, pi)
+    ref = np.kron(np.eye(d), ch.apply_mat(pi))
+    for delta in (0.01, 0.14, 0.2, 0.9):
+        small = delta < (d * d - 1) * p / d**2
+        want = np.log2(d * (p / d**2 if small else 1 - p + p / d**2))
+        assert ds_eps(omega, ref, delta).bits == pytest.approx(want, abs=1e-12)
+
+
+def test_ds_eps_leaky_pair_crosses_past_the_last_breakpoint():
+    # rho has mass 1 - lim outside supp(sigma): past the last breakpoint T
+    # keeps rising toward lim, so an eps just below lim has a finite answer
+    rng = keyed_stream(4, "ds-leaky")
+    rho = random_rank_state(3, 3, rng)
+    sig = np.diag([0.6, 0.4, 0.0])
+    lim = float(np.trace(rho[:2, :2]).real)
+    schur = rho[:2, :2] - np.outer(rho[:2, 2], rho[2, :2]) / rho[2, 2]
+    last = np.log2(linalg.eigh(schur, sig[:2, :2], eigvals_only=True)[-1])
+    assert independent_tail(rho, sig, last) < lim - 1e-3
+    got = ds_eps(rho, sig, lim - 1e-3)
+    assert got.support_ok and last < got.bits < np.inf
+    assert independent_tail(rho, sig, got.bits - TAIL_STEP) <= lim - 1e-3
+    assert independent_tail(rho, sig, got.bits + TAIL_STEP) > lim - 1e-3
+    assert not ds_eps(rho, sig, lim + 1e-3).support_ok
+
+
+def test_ds_eps_decomposes_a_few_times_on_both_one_shot_terms(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, real=real, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    d = 8
+    ch = random_channel(d, d, 2, keyed_stream(0, "ds-count"))
+    pi = np.eye(d) / d
+    psi = purify(pi).density().mat
+    pairs = (
+        (ch.apply_to_second(psi, d), np.kron(np.eye(d), ch.apply_mat(pi))),
+        (psi, np.kron(np.eye(d), pi)),
+    )
+    for rho, sig in pairs:
+        for delta in (0.05, 0.3, 0.7):
+            calls.clear()
+            ds_eps(rho, sig, delta)
+            assert len(calls) <= 12, (delta, len(calls))
 
 
 # ---------------------------------------------------------------------------
