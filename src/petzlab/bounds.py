@@ -33,8 +33,10 @@ from .qstate import DensityMatrix, keyed_stream, purify, trace_distance
 
 ARGMAX_DISTINCT_TOL = 1e-4
 OPTIMIZER_DIM_LIMIT = 8
-# stop each start well inside tol_eta, so converged starts that reach one
-# optimum agree to round-off and the argmax set holds no stragglers
+# states within ARGMAX_TOL_ETA of the best value form the argmax set
+ARGMAX_TOL_ETA = 1e-6
+# stop each start well inside ARGMAX_TOL_ETA, so converged starts that reach
+# one optimum agree to round-off and the argmax set holds no stragglers
 LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10}
 
 
@@ -124,7 +126,8 @@ def one_shot_rhs(ch: Channel, rho: DensityMatrix, params: OneShotParams) -> OneS
     if params.d != d:
         raise BadParamsError(f"params.d = {params.d} != state dim {d}")
 
-    psi = purify(r).density().mat
+    v = purify(r).vec
+    psi = np.outer(v, v.conj())
     omega = ch.apply_to_second(psi, d)
     ref1 = np.kron(np.eye(d), ch.apply_mat(r))
     ds1 = ds_eps(omega, ref1, params.delta1)
@@ -173,7 +176,6 @@ class CoherentInfoResult:
 def maximize_coherent_info(
     ch: Channel,
     restarts: int = 8,
-    tol_eta: float = 1e-6,
     seed: int = 0,
 ) -> CoherentInfoResult:
     """Maximize coherent information over input states by multistart
@@ -185,7 +187,7 @@ def maximize_coherent_info(
     directly, so the result can never fall below their values. There are
     1 + `restarts` starts: A = I (the maximally mixed state) and `restarts`
     keyed random seeds; optimizer_trace records one start_nfev and one
-    start_converged entry per start. States within tol_eta of the best
+    start_converged entry per start. States within ARGMAX_TOL_ETA of the best
     value and mutually farther than trace distance 1e-4 form the argmax set;
     the maximally mixed state is checked first, so it appears verbatim
     whenever it qualifies. For qubit inputs an exhaustive Bloch-ball grid
@@ -229,7 +231,7 @@ def maximize_coherent_info(
     best = max(v for v, _ in candidates)
     chosen: list[tuple[float, np.ndarray]] = []
     for v, m in candidates:
-        if v < best - tol_eta:
+        if v < best - ARGMAX_TOL_ETA:
             continue
         if all(trace_distance(m, other) > ARGMAX_DISTINCT_TOL for _, other in chosen):
             chosen.append((v, m))
@@ -254,10 +256,16 @@ def maximize_coherent_info(
         ic_bits=float(best),
         argmax_states=argmax_states,
         per_state_variance=variances,
-        tol_eta=tol_eta,
+        tol_eta=ARGMAX_TOL_ETA,
         optimizer_trace=trace,
     )
 
+
+# Bloch grid: GRID_BASE_POINTS^3 points per zoom level, each level
+# GRID_ZOOM_FACTOR times the width of the last
+GRID_BASE_POINTS = 13
+GRID_ZOOM_LEVELS = 6
+GRID_ZOOM_FACTOR = 0.35
 
 _PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -266,12 +274,7 @@ _PAULIS = (
 )
 
 
-def bloch_grid_coherent_info(
-    ch: Channel,
-    base_points: int = 13,
-    zoom_levels: int = 6,
-    zoom_factor: float = 0.35,
-) -> float:
+def bloch_grid_coherent_info(ch: Channel) -> float:
     """Independent qubit oracle: exhaustive Bloch-ball grid search for the
     maximal coherent information, zooming around the running best point.
     Points outside the ball are projected to its surface."""
@@ -294,9 +297,9 @@ def bloch_grid_coherent_info(
     half = 1.0
     best = -np.inf
     best_r = center
-    for _ in range(zoom_levels):
+    for _ in range(GRID_ZOOM_LEVELS):
         axes = [
-            np.linspace(center[k] - half, center[k] + half, base_points)
+            np.linspace(center[k] - half, center[k] + half, GRID_BASE_POINTS)
             for k in range(3)
         ]
         for x in axes[0]:
@@ -309,7 +312,7 @@ def bloch_grid_coherent_info(
                         best_r = r3
         norm = float(np.linalg.norm(best_r))
         center = best_r / norm if norm > 1.0 else best_r
-        half *= zoom_factor
+        half *= GRID_ZOOM_FACTOR
     return float(best)
 
 

@@ -18,7 +18,6 @@ from .errors import (
     NotTracePreservingError,
 )
 from .linalg import as_matrix
-from .qstate import DensityMatrix
 
 CPTP_ATOL = 1e-9
 # tensor powers are materialized explicitly only up to this total dimension
@@ -80,10 +79,6 @@ class Channel:
             )
         k = self.kraus_stack
         return (k @ a @ _dagger(k)).sum(0)
-
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        """Apply the channel to a state; requires a trace-preserving map."""
-        return DensityMatrix(self.apply_mat(rho))
 
     def adjoint_apply(self, y) -> np.ndarray:
         """Heisenberg-picture adjoint: sum of K† Y K."""

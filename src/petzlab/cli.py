@@ -104,7 +104,7 @@ def run_lemma_suite(seed: int, trials: int = 100, pinching=None) -> list[LemmaRe
         LemmaReport(
             "average-entanglement-fidelity",
             n_avg,
-            check_avg_ent_relation(n_avg, rng, mc_samples=2000),
+            check_avg_ent_relation(n_avg, rng),
         )
     )
 

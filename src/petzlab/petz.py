@@ -9,7 +9,7 @@ completion state (the normalized S by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import (
     RankDeficientRhoError,
 )
 from .entropy import exp2_collision
-from .linalg import as_matrix, hermitian_eig, hermitize, psd_spectrum
+from .linalg import PsdSpectrum, as_matrix, hermitian_eig, hermitize, psd_spectrum
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -39,19 +39,22 @@ from .qstate import (
 )
 
 UNITARITY_ATOL = 1e-9
+AVG_REL_MC_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
 class CodeSpec:
     """Random code data: input state rho, rank-m projector P, the code
     operator S = sqrt(d rho) P sqrt(d rho), and the orthonormal code basis
-    w_i = S^{-1/2} sqrt(d rho) v_i over an eigenbasis {v_i} of P."""
+    w_i = S^{-1/2} sqrt(d rho) v_i over an eigenbasis {v_i} of P, and the
+    spectrum of S, kept so that S is decomposed once."""
 
     rho: DensityMatrix
     projector: np.ndarray
     m: int
     s: np.ndarray
     code_basis: Subspace
+    s_spectrum: PsdSpectrum = field(repr=False, compare=False)
 
 
 def build_code(rho: DensityMatrix, projector) -> CodeSpec:
@@ -88,7 +91,9 @@ def build_code(rho: DensityMatrix, projector) -> CodeSpec:
         raise NumericsError(f"code basis does not span supp S (residual {resid:.3e})")
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(r)
-    return CodeSpec(rho=rho, projector=p, m=m, s=s, code_basis=code_basis)
+    return CodeSpec(
+        rho=rho, projector=p, m=m, s=s, code_basis=code_basis, s_spectrum=s_spec
+    )
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ def petz_decoder(
             f"channel input {ch.d_in} != code dimension {code.s.shape[0]}"
         )
     ns = psd_spectrum(ch.apply_mat(code.s))
-    s_spec = psd_spectrum(code.s)
+    s_spec = code.s_spectrum
     s_half = s_spec.fn(np.sqrt)
     ns_inv_half = ns.fn(lambda x: x ** -0.5, on_support=True)
     base_kraus = s_half @ ch.kraus_stack.conj().transpose(0, 2, 1) @ ns_inv_half
@@ -296,9 +301,6 @@ class DephasingMap:
     def dim(self) -> int:
         return self.u.shape[0]
 
-    def basis_vector(self, i: int) -> np.ndarray:
-        return self.u[:, i]
-
     def clock(self) -> np.ndarray:
         """Unitary with eigenvalue exp(2 pi i j / d) on the j-th basis vector;
         averaging its conjugations over j realizes the pinching."""
@@ -457,9 +459,7 @@ def check_weak_monotonicity(trials: int, rng: np.random.Generator) -> float:
     return worst
 
 
-def check_avg_ent_relation(
-    trials: int, rng: np.random.Generator, mc_samples: int = 2000
-) -> float:
+def check_avg_ent_relation(trials: int, rng: np.random.Generator) -> float:
     """Monte-Carlo consistency of the average fidelity with the value implied
     by the entanglement fidelity, beyond three standard errors."""
     from .channel import random_channel
@@ -471,7 +471,7 @@ def check_avg_ent_relation(
         ident = Channel(d, d, (np.eye(d, dtype=complex),))
         full = Subspace(np.eye(d, dtype=complex))
         f_ent = ent_fidelity(ch, ident, full)
-        mean, stderr = avg_fidelity_mc(ch, ident, full, mc_samples, rng)
+        mean, stderr = avg_fidelity_mc(ch, ident, full, AVG_REL_MC_SAMPLES, rng)
         predicted = avg_from_ent_fidelity(f_ent, d)
         worst = max(worst, abs(mean - predicted) - 3.0 * stderr - 1e-12)
     return max(0.0, worst)

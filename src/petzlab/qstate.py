@@ -265,9 +265,14 @@ def check_flip_identities(d: int, trials: int, rng: np.random.Generator) -> floa
     return worst
 
 
-def _mc_excess(dev_frob: float, se_frob: float) -> float:
-    """Deviation beyond the 3-standard-error band (0 when consistent)."""
-    return max(0.0, dev_frob - 3.0 * se_frob)
+def _moment_excess(a: np.ndarray, b: np.ndarray, exact: np.ndarray) -> float:
+    """Frobenius deviation of the sample moment mean_n a_n b_n^T from `exact`
+    beyond three standard errors (0 when consistent); a and b are (n, k)."""
+    n = a.shape[0]
+    mean = a.T @ b / n
+    var = (np.abs(a) ** 2).T @ (np.abs(b) ** 2) / n - np.abs(mean) ** 2
+    se = float(np.sqrt(np.clip(var, 0.0, None).sum() / n))
+    return max(0.0, float(np.linalg.norm(mean - exact)) - 3.0 * se)
 
 
 def check_haar_state_moments(
@@ -281,27 +286,13 @@ def check_haar_state_moments(
     """
     g = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
     g = g / np.linalg.norm(g, axis=1, keepdims=True)
-
-    # first moment
-    outer = np.einsum("ni,nj->nij", g, g.conj())
-    mean1 = outer.mean(axis=0)
-    var1 = (np.abs(outer) ** 2).mean(axis=0) - np.abs(mean1) ** 2
-    se1 = float(np.sqrt(np.clip(var1, 0.0, None).sum() / samples))
-    dev1 = float(np.linalg.norm(mean1 - np.eye(d) / d))
-    worst = _mc_excess(dev1, se1)
+    worst = _moment_excess(g, g.conj(), np.eye(d) / d)
 
     # second moment, via the d^2-dim vectors psi (x) psi
     w = np.einsum("ni,nj->nij", g, g).reshape(samples, d * d)
-    mean2 = (w.T @ w.conj()) / samples
-    abs2 = np.abs(w) ** 2
-    second = (abs2.T @ abs2) / samples
-    var2 = second - np.abs(mean2) ** 2
-    se2 = float(np.sqrt(np.clip(var2, 0.0, None).sum() / samples))
     full = Subspace(np.eye(d, dtype=complex))
     exact2 = (np.eye(d * d) + flip_operator(full)) / (d * (d + 1))
-    dev2 = float(np.linalg.norm(mean2 - exact2))
-    worst = max(worst, _mc_excess(dev2, se2))
-    return worst
+    return max(worst, _moment_excess(w, w.conj(), exact2))
 
 
 def projector_pair_moment(d: int, m: int) -> np.ndarray:
@@ -321,17 +312,10 @@ def check_haar_projector_moment(
     g = rng.standard_normal((samples, d, d)) + 1j * rng.standard_normal(
         (samples, d, d)
     )
-    q, r = np.linalg.qr(g / np.sqrt(2.0))
-    diag = np.einsum("nii->ni", r).copy()
-    q = q * (diag / np.abs(diag))[:, None, :]
-    v = q[:, :, :m]
-    p = np.einsum("nik,njk->nij", v, v.conj())
-
-    mean = np.einsum("nij,nkl->ikjl", p, p) / samples
-    mean = mean.reshape(d * d, d * d)
-    absp = np.abs(p) ** 2
-    second = np.einsum("nij,nkl->ikjl", absp, absp).reshape(d * d, d * d) / samples
-    var = second - np.abs(mean) ** 2
-    se = float(np.sqrt(np.clip(var, 0.0, None).sum() / samples))
-    dev = float(np.linalg.norm(mean - projector_pair_moment(d, m)))
-    return _mc_excess(dev, se)
+    # the first m columns of Q depend only on the first m columns of G, and
+    # P = V V^dag does not depend on their phases, so R is not needed
+    v, _ = np.linalg.qr(g[:, :, :m] / np.sqrt(2.0))
+    p = (v @ v.conj().transpose(0, 2, 1)).reshape(samples, d * d)
+    # P (x) P in [ik, jl] order, permuted to the [ij, kl] order of p^T p
+    exact = projector_pair_moment(d, m).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    return _moment_excess(p, p, exact.reshape(d * d, d * d))

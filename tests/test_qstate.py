@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from petzlab import qstate
 from petzlab.errors import (
     DimensionMismatchError,
     NotPSDError,
@@ -241,6 +244,82 @@ def test_haar_state_moments_within_band():
 def test_haar_projector_moment_within_band():
     rng = keyed_stream(3, "proj-moments")
     assert check_haar_projector_moment(3, 2, MC_TRIALS, rng) == 0.0
+
+
+def _excess(mean: np.ndarray, var: np.ndarray, exact: np.ndarray, n: int) -> float:
+    se = float(np.sqrt(np.clip(var, 0.0, None).sum() / n))
+    return max(0.0, float(np.linalg.norm(mean - exact)) - 3.0 * se)
+
+
+def _outer_moment(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and entrywise variance of g g^dag over an (n, d, d) outer array."""
+    outer = np.einsum("ni,nj->nij", g, g.conj())
+    mean = outer.mean(axis=0)
+    return mean, (np.abs(outer) ** 2).mean(axis=0) - np.abs(mean) ** 2
+
+
+def _pair_moment(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and entrywise variance of p (x) p in [ik, jl] order, by two
+    (n, d, d) -> d^4 contractions."""
+    n, d = p.shape[:2]
+    mean = np.einsum("nij,nkl->ikjl", p, p).reshape(d * d, d * d) / n
+    absp = np.abs(p) ** 2
+    second = np.einsum("nij,nkl->ikjl", absp, absp).reshape(d * d, d * d) / n
+    return mean, second - np.abs(mean) ** 2
+
+
+def _ik_jl_to_ij_kl(x: np.ndarray, d: int) -> np.ndarray:
+    return x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(2, 60),
+    st.floats(0.0, 3.0),
+)
+def test_moment_excess_matches_outer_and_einsum_forms(seed, d, n, t):
+    # exact sits t * 3 se away from the sample mean, so the excess is
+    # (t - 1) * 3 se when t > 1 and 0 otherwise
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    p = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    flat = p.reshape(n, d * d)
+    cases = (
+        (_outer_moment(g), g, g.conj(), lambda x: x),
+        (_pair_moment(p), flat, flat, lambda x: _ik_jl_to_ij_kl(x, d)),
+    )
+    for (mean, var), a, b, to_ab in cases:
+        se = np.sqrt(np.clip(var, 0.0, None).sum() / n)
+        step = rng.standard_normal(mean.shape) + 1j * rng.standard_normal(mean.shape)
+        exact = mean + t * 3.0 * se * step / np.linalg.norm(step)
+        expect = _excess(mean, var, exact, n)
+        assert expect == pytest.approx(max(0.0, (t - 1.0) * 3.0 * se), abs=1e-12)
+        got = qstate._moment_excess(a, b, to_ab(exact))
+        assert got == pytest.approx(expect, abs=1e-12)
+
+
+class _RealGaussian:
+    """Generator stand-in whose every second standard_normal draw is zero, so
+    the Haar checks receive real Gaussian samples."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.draws = 0
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        return self.rng.standard_normal(shape) if self.draws % 2 else np.zeros(shape)
+
+
+def test_haar_checks_reject_real_gaussian_samples():
+    # real unit vectors and real orthogonal projectors have the right first
+    # moment but a different pair moment than the complex Haar ensembles
+    rng = keyed_stream(3, "haar-moments")
+    assert check_haar_state_moments(3, MC_TRIALS, _RealGaussian(rng)) > 0.0
+    rng = keyed_stream(3, "proj-moments")
+    assert check_haar_projector_moment(3, 2, MC_TRIALS, _RealGaussian(rng)) > 0.0
 
 
 # ---------------------------------------------------------------------------
