@@ -17,7 +17,7 @@ from .errors import (
     DimensionMismatchError,
     NotTracePreservingError,
 )
-from .linalg import as_matrix
+from .linalg import _as_array, as_matrix
 
 CPTP_ATOL = 1e-9
 # tensor powers are materialized explicitly only up to this total dimension
@@ -54,14 +54,10 @@ class Channel:
             raise BadParameterError("channel needs at least one Kraus operator")
         stack = np.stack(ops)
         stack.setflags(write=False)
-        gram = (_dagger(stack) @ stack).sum(0)
         if self.trace_preserving:
-            defect = float(np.abs(gram - np.eye(self.d_in)).max())
-            if defect > CPTP_ATOL:
-                raise NotTracePreservingError(
-                    f"sum of K†K deviates from identity by {defect:.3e}"
-                )
+            _require_trace_preserving(stack)
         else:
+            gram = (_dagger(stack) @ stack).sum(0)
             top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2).max())
             if top > 1.0 + CPTP_ATOL:
                 raise NotTracePreservingError(
@@ -71,14 +67,15 @@ class Channel:
         object.__setattr__(self, "kraus", tuple(stack))
 
     def apply_mat(self, x) -> np.ndarray:
-        """Apply the channel to an arbitrary operator."""
-        a = as_matrix(x)
-        if a.shape != (self.d_in, self.d_in):
+        """Apply the channel to an arbitrary operator, or to each operator
+        of a (..., d_in, d_in) stack."""
+        a = _as_array(x)
+        if a.shape[-2:] != (self.d_in, self.d_in):
             raise DimensionMismatchError(
                 f"operator shape {a.shape} != ({self.d_in}, {self.d_in})"
             )
         k = self.kraus_stack
-        return (k @ a @ _dagger(k)).sum(0)
+        return (k @ a[..., None, :, :] @ _dagger(k)).sum(-3)
 
     def adjoint_apply(self, y) -> np.ndarray:
         """Heisenberg-picture adjoint: sum of K† Y K."""
@@ -158,7 +155,18 @@ class Channel:
 
 def _dagger(k: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
-    return k.conj().transpose(0, 2, 1)
+    return k.conj().swapaxes(-1, -2)
+
+
+def _require_trace_preserving(kraus: np.ndarray) -> None:
+    """Raise unless sum K†K = I within CPTP_ATOL for the (r, d_out, d_in)
+    Kraus stack, or for each one of a (..., r, d_out, d_in) stack of them."""
+    v = kraus.reshape(*kraus.shape[:-3], -1, kraus.shape[-1])  # stacked rows
+    defect = float(np.abs(_dagger(v) @ v - np.eye(kraus.shape[-1])).max())
+    if defect > CPTP_ATOL:
+        raise NotTracePreservingError(
+            f"sum of K†K deviates from identity by {defect:.3e}"
+        )
 
 
 def kraus_from_choi(choi: np.ndarray, d_in: int, d_out: int) -> list[np.ndarray]:

@@ -69,7 +69,7 @@ def _support_pair(rho, sigma) -> tuple[np.ndarray, PsdSpectrum, bool]:
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -tr(rho log2 rho) in bits."""
-    w = np.linalg.eigvalsh(hermitize(rho))
+    w = np.linalg.eigvalsh(hermitize(as_matrix(rho)))
     return _entropy_bits(w)
 
 

@@ -5,6 +5,9 @@ PSD matrix (psd_spectrum) whose support, kernel, rank and matrix functions
 (pseudo-inverse and pseudo-log semantics) are views. support_mask is the one
 support rule; its cutoff is relative to the largest eigenvalue, so routines
 are scale invariant. Logarithms are base 2 package-wide.
+hermitize, hermitian_eig, psd_spectrum, PsdSpectrum.fn, support_mask and
+require_psd apply the same rule to each matrix of a (..., n, n) stack; the
+other PsdSpectrum views take a single matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +32,15 @@ PSD_HARD_RTOL = 1e-8
 
 
 def as_matrix(x) -> np.ndarray:
-    """Coerce an array-like, or any object with a .mat attribute, to complex."""
+    """Coerce an array-like, or any object with a .mat attribute, to complex;
+    a stack of matrices is rejected, as it is not one operator."""
+    a = _as_array(x)
+    if a.ndim > 2:
+        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _as_array(x) -> np.ndarray:
     return np.asarray(getattr(x, "mat", x), dtype=complex)
 
 
@@ -41,12 +52,21 @@ class HermitianEig(NamedTuple):
 
 
 def _check_square(x) -> np.ndarray:
-    a = as_matrix(x)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _as_array(x)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NotPSDError("matrix contains non-finite entries")
     return a
+
+
+def _first_true(mask) -> int | None:
+    """Flat index of the first true entry of a boolean array, or None. A
+    scalar is tested directly: any() and argmax() cost microseconds on one,
+    and coherent_info runs these checks tens of thousands of times."""
+    if getattr(mask, "ndim", 0) == 0:
+        return 0 if mask else None
+    return int(np.argmax(mask)) if mask.any() else None
 
 
 def hermitize(x) -> np.ndarray:
@@ -57,28 +77,34 @@ def hermitize(x) -> np.ndarray:
     (whose scale collapses) are not rejected for round-off.
     """
     a = _check_square(x)
-    scale = max(float(np.abs(a).max()), 1e-300)
-    defect = float(np.abs(a - a.conj().T).max())
-    if defect > max(HERMITICITY_RTOL * scale, 1e-12):
+    a_h = a.conj().swapaxes(-1, -2)
+    scale = np.abs(a).max(axis=(-2, -1))
+    defect = np.abs(a - a_h).max(axis=(-2, -1))
+    i = _first_true((defect > HERMITICITY_RTOL * scale) & (defect > 1e-12))
+    if i is not None:
         raise NonHermitianError(
-            f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.0e} "
-            f"relative to scale {scale:.3e}"
+            f"Hermiticity defect {defect.flat[i]:.3e} exceeds "
+            f"{HERMITICITY_RTOL:.0e} relative to scale {scale.flat[i]:.3e}"
         )
-    return (a + a.conj().T) / 2
+    return (a + a_h) / 2
 
 
 def hermitian_eig(x) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix with eigenvalues descending."""
-    h = hermitize(x)
+    return _eig(hermitize(x))
+
+
+def _eig(h: np.ndarray) -> HermitianEig:
+    # h as hermitize returns it: exactly Hermitian, so not checked again
     w, v = np.linalg.eigh(h)
-    return HermitianEig(w[::-1].copy(), v[:, ::-1].copy())
+    return HermitianEig(w[..., ::-1].copy(), v[..., ::-1].copy())
 
 
 def support_mask(w: np.ndarray) -> np.ndarray:
     """The one support rule: an eigenvalue counts as zero iff it is at or
     below SUPPORT_RTOL times the largest (non-negative) eigenvalue."""
-    lam_max = max(float(w.max()), 0.0) if w.size else 0.0
-    return w > SUPPORT_RTOL * lam_max
+    lam_max = w.max(axis=-1, initial=0.0)
+    return w > (SUPPORT_RTOL * lam_max)[..., None]
 
 
 class PsdSpectrum(NamedTuple):
@@ -101,7 +127,7 @@ class PsdSpectrum(NamedTuple):
         on = self.support if on_support else slice(None)
         fw = np.zeros_like(w)
         fw[on] = f(w[on])
-        return (v * fw) @ v.conj().T
+        return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
     def basis(self) -> np.ndarray:
         return self.eigenvectors[:, self.support]
@@ -120,21 +146,28 @@ def psd_spectrum(x) -> PsdSpectrum:
     Negative eigenvalues within -PSD_HARD_RTOL * lam_max are clamped to zero;
     anything below that band raises NotPSD.
     """
-    w, v = hermitian_eig(x)
-    if w.size:
-        require_psd(float(w[-1]), float(w[0]))
+    return _psd_spectrum(hermitize(x))
+
+
+def _psd_spectrum(h: np.ndarray) -> PsdSpectrum:
+    """psd_spectrum of an operator, or stack, that hermitize returned."""
+    w, v = _eig(h)
+    if w.shape[-1]:
+        require_psd(w[..., -1], w[..., 0])
     w = np.maximum(w, 0.0)
     return PsdSpectrum(w, v, support_mask(w))
 
 
-def require_psd(lam_min: float, lam_max: float) -> None:
+def require_psd(lam_min, lam_max) -> None:
     """Raise NotPSD when the smallest eigenvalue lies below the tolerance
-    band -PSD_HARD_RTOL * max(lam_max, 0)."""
-    lam_max = max(lam_max, 0.0)
-    if lam_min < -PSD_HARD_RTOL * max(lam_max, 1e-300):
+    band -PSD_HARD_RTOL * max(lam_max, 0); arrays are checked elementwise."""
+    i = _first_true(
+        (lam_min < -PSD_HARD_RTOL * lam_max) & (lam_min < -PSD_HARD_RTOL * 1e-300)
+    )
+    if i is not None:
         raise NotPSDError(
-            f"eigenvalue {lam_min:.3e} below -{PSD_HARD_RTOL:.0e} * lam_max "
-            f"({lam_max:.3e})"
+            f"eigenvalue {np.ravel(lam_min)[i]:.3e} below -{PSD_HARD_RTOL:.0e} "
+            f"* lam_max ({max(np.ravel(lam_max)[i], 0.0):.3e})"
         )
 
 
@@ -148,22 +181,22 @@ def hermitian_fn(
 
 def support_projector(x) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a PSD matrix."""
-    return psd_spectrum(x).projector()
+    return psd_spectrum(as_matrix(x)).projector()
 
 
 def support_basis(x) -> np.ndarray:
     """Orthonormal eigenbasis of the support of a PSD matrix, as columns."""
-    return psd_spectrum(x).basis()
+    return psd_spectrum(as_matrix(x)).basis()
 
 
 def kernel_basis(x) -> np.ndarray:
     """Orthonormal basis of the numerical kernel of a PSD matrix, as columns."""
-    return psd_spectrum(x).kernel()
+    return psd_spectrum(as_matrix(x)).kernel()
 
 
 def support_rank(x) -> int:
     """Number of eigenvalues above the relative support cutoff."""
-    return psd_spectrum(x).rank
+    return psd_spectrum(as_matrix(x)).rank
 
 
 def partial_trace(x, keep: str, dims: tuple[int, int]) -> np.ndarray:

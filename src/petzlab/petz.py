@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import Channel
+from .channel import Channel, _dagger, _require_trace_preserving
 from .errors import (
     BadParameterError,
     BadProjectorError,
@@ -26,11 +26,14 @@ from .errors import (
     RankDeficientRhoError,
 )
 from .entropy import exp2_collision
-from .linalg import PsdSpectrum, as_matrix, hermitian_eig, hermitize, psd_spectrum
+from .linalg import (
+    PsdSpectrum, _psd_spectrum, as_matrix, hermitian_eig, hermitize, psd_spectrum
+)
 from .qstate import (
     DensityMatrix,
     PureState,
     Subspace,
+    _haar_projectors,
     avg_from_ent_fidelity,
     haar_projector,
     haar_unitary,
@@ -40,6 +43,8 @@ from .qstate import (
 
 UNITARITY_ATOL = 1e-9
 AVG_REL_MC_SAMPLES = 2000
+# complex entries in one sample-stacked intermediate of random_code_experiment
+CODE_CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -68,32 +73,41 @@ def build_code(rho: DensityMatrix, projector) -> CodeSpec:
         raise DimensionMismatchError(
             f"projector shape {p.shape} != state shape {r.shape}"
         )
+    m, s, s_spec, w = _codes(r, p[None])
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(r)
+    s_spec = PsdSpectrum(*(a[0] for a in s_spec))
+    return CodeSpec(rho, p, int(m[0]), s[0], Subspace(w[0]), s_spec)
+
+
+def _codes(r: np.ndarray, p: np.ndarray):
+    """build_code, with its checks, for a (k, d, d) stack of hermitized
+    projectors: their ranks m, the S stack, its spectra and the code bases."""
     if float(np.abs(p @ p - p).max()) > 1e-9:
         raise BadProjectorError("operator is not idempotent within 1e-9")
-    m = int(round(float(np.trace(p).real)))
-    if m < 1:
+    m = np.rint(np.trace(p, axis1=1, axis2=2).real).astype(int)
+    if (m < 1).any():
         raise EmptyCodeError("projector has rank zero")
-    rt = psd_spectrum(d * r)
-    if rt.rank < d:
+    rt = psd_spectrum(r.shape[0] * r)
+    if rt.rank < r.shape[0]:
         raise RankDeficientRhoError(
             "input state is rank deficient; restrict to its support first"
         )
     sqrt_rt = rt.fn(np.sqrt)
     s = hermitize(sqrt_rt @ p @ sqrt_rt)
-    s_spec = psd_spectrum(s)
-    if s_spec.rank != m:
-        raise NumericsError(f"code operator rank {s_spec.rank} != projector rank {m}")
+    s_spec = _psd_spectrum(s)
+    rank = s_spec.support.sum(-1)
+    if (rank != m).any():
+        i = np.argmax(rank != m)
+        raise NumericsError(f"code operator rank {rank[i]} != projector rank {m[i]}")
     s_inv_half = s_spec.fn(lambda x: x ** -0.5, on_support=True)
-    v = psd_spectrum(p).basis()
-    code_basis = Subspace(s_inv_half @ sqrt_rt @ v)
-    resid = float(np.abs(code_basis.projector() - s_spec.projector()).max())
+    p_spec = _psd_spectrum(p)
+    w = s_inv_half @ sqrt_rt @ p_spec.eigenvectors[..., : p_spec.support.sum(-1).max()]
+    b = s_spec.eigenvectors[..., : m.max()]
+    resid = float(np.abs(w @ _dagger(w) - b @ _dagger(b)).max())
     if resid > 1e-8:
         raise NumericsError(f"code basis does not span supp S (residual {resid:.3e})")
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(r)
-    return CodeSpec(
-        rho=rho, projector=p, m=m, s=s, code_basis=code_basis, s_spectrum=s_spec
-    )
+    return m, s, s_spec, w
 
 
 @dataclass(frozen=True)
@@ -119,13 +133,7 @@ def petz_decoder(
         raise DimensionMismatchError(
             f"channel input {ch.d_in} != code dimension {code.s.shape[0]}"
         )
-    ns = psd_spectrum(ch.apply_mat(code.s))
     s_spec = code.s_spectrum
-    s_half = s_spec.fn(np.sqrt)
-    ns_inv_half = ns.fn(lambda x: x ** -0.5, on_support=True)
-    base_kraus = s_half @ ch.kraus_stack.conj().transpose(0, 2, 1) @ ns_inv_half
-    base = Channel(ch.d_out, ch.d_in, base_kraus, trace_preserving=False)
-
     if completion_state is None:
         tr = float(np.trace(code.s).real)
         tau = DensityMatrix(code.s / tr)
@@ -142,19 +150,35 @@ def petz_decoder(
                 "completion state has support outside the code operator"
             )
         w_t, v_t = hermitian_eig(tau.mat)
+    one = PsdSpectrum(*(a[None] for a in s_spec))
+    ((_, total),) = _decoders(ch, code.s[None], one, w_t[None], v_t[None])
+    base = Channel(ch.d_out, ch.d_in, total[0, : len(ch.kraus)], trace_preserving=False)
+    return PetzDecoder(base, tau, Channel(ch.d_out, ch.d_in, total[0], True))
 
-    # one Kraus operator sqrt(t) |t><k| per eigenpair (t, |t>) of tau and
-    # kernel vector |k> of N(S)
-    missing = ns.kernel()
-    keep = w_t > 1e-12 * max(float(w_t[0]), 1e-300)
-    cols = v_t[:, keep] * np.sqrt(w_t[keep])
-    completion_kraus = np.einsum("ai,bj->ijab", cols, missing.conj()).reshape(
-        -1, ch.d_in, ch.d_out
-    )
-    total = Channel(
-        ch.d_out, ch.d_in, np.concatenate([base_kraus, completion_kraus]), True
-    )
-    return PetzDecoder(base=base, completion_state=tau, total=total)
+
+def _decoders(ch: Channel, s: np.ndarray, s_spec: PsdSpectrum, w_t, v_t):
+    """petz_decoder for a stack of code operators S and completion states
+    with eigenpairs (w_t, v_t): yields the sample indices and the total
+    Kraus stack, base operators first, of each group of samples with equal
+    rank of N(S) and equal count of kept eigenpairs. The completion has one
+    Kraus operator sqrt(t)|t><k| per kept eigenpair (t, |t>) and kernel
+    vector |k> of N(S)."""
+    ns = psd_spectrum(ch.apply_mat(s))
+    ns_inv_half = ns.fn(lambda x: x ** -0.5, on_support=True)
+    base = s_spec.fn(np.sqrt)[:, None] @ _dagger(ch.kraus_stack) @ ns_inv_half[:, None]
+    kept = (w_t > 1e-12 * np.maximum(w_t[:, :1], 1e-300)).sum(-1)
+    rank, r0 = ns.support.sum(-1), len(ch.kraus)
+    for r, q in sorted(set(zip(rank.tolist(), kept.tolist()))):
+        idx = np.flatnonzero((rank == r) & (kept == q))
+        cols = v_t[idx, :, :q] * np.sqrt(w_t[idx, None, :q])
+        completion = np.einsum("nai,nbj->nijab", cols, ns.eigenvectors[idx, :, r:].conj())
+        # in C order, as a Channel stores its Kraus operators, so that the
+        # products with it round exactly as with a Channel's kraus_stack
+        total = np.empty((len(idx), r0 + q * (ch.d_out - r), ch.d_in, ch.d_out), complex)
+        total[:, :r0] = base[idx]
+        total[:, r0:] = completion.reshape(len(idx), -1, ch.d_in, ch.d_out)
+        _require_trace_preserving(total)
+        yield idx, total
 
 
 def code_max_entangled(code_basis: Subspace) -> PureState:
@@ -181,11 +205,16 @@ def ent_fidelity(ch: Channel, dec: Channel, code_space: Subspace) -> float:
     product of the stacked W† R_j with the stacked N_k W.
     """
     _check_scheme(ch, dec, code_space)
-    w = code_space.basis
-    left = (w.conj().T @ dec.kraus_stack).reshape(len(dec.kraus), -1)
-    right = (ch.kraus_stack @ w).transpose(0, 2, 1).reshape(len(ch.kraus), -1)
-    overlaps = left @ right.T
-    return float((np.abs(overlaps) ** 2).sum() / code_space.dim**2)
+    return float(_fidelities(ch, dec.kraus_stack[None], code_space.basis[None])[0])
+
+
+def _fidelities(ch: Channel, dec_kraus: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """ent_fidelity for (n, R, d_in, d_out) decoder and (n, d_in, m) basis stacks."""
+    n = len(w)
+    left = (_dagger(w)[:, None] @ dec_kraus).reshape(n, dec_kraus.shape[1], -1)
+    right = (ch.kraus_stack @ w[:, None]).swapaxes(2, 3).reshape(n, len(ch.kraus), -1)
+    overlaps = left @ right.swapaxes(1, 2)
+    return (np.abs(overlaps) ** 2).reshape(n, -1).sum(-1) / w.shape[-1] ** 2
 
 
 def avg_fidelity_mc(
@@ -238,16 +267,6 @@ class CodeExperimentStats:
         }
 
 
-def _code_sample(
-    ch: Channel, rho: DensityMatrix, m: int, seed: int, index: int
-) -> tuple[float, CodeSpec]:
-    rng = keyed_stream(seed, "code-sample", index)
-    p = haar_projector(rho.dim, m, rng)
-    code = build_code(rho, p)
-    dec = petz_decoder(ch, code)
-    return ent_fidelity(ch, dec.total, code.code_basis), code
-
-
 def random_code_experiment(
     ch: Channel,
     rho: DensityMatrix,
@@ -258,17 +277,29 @@ def random_code_experiment(
     """Sample Haar-random rank-m codes, decode with the transpose-channel
     decoder, and collect exact entanglement fidelities.
 
-    Each sample depends only on (seed, sample index).
+    Sample i is drawn from keyed_stream(seed, "code-sample", i) alone. The
+    samples go through build_code, petz_decoder and ent_fidelity as stacks,
+    in chunks whose intermediates stay under CODE_CHUNK_ELEMENTS entries.
     """
     if code_samples < 1:
         raise BadParameterError("need at least one code sample")
-    results = [_code_sample(ch, rho, m, seed, i) for i in range(code_samples)]
-    fid = np.array([f for f, _ in results])
+    r = as_matrix(rho)
+    d = r.shape[0]
+    # at most r + d d_out decoder Kraus operators of max(d, d_out)^2 entries
+    per_sample = (len(ch.kraus) + d * ch.d_out) * max(d, ch.d_out) ** 2
+    chunk = max(1, CODE_CHUNK_ELEMENTS // per_sample)
+    fid = np.empty(code_samples)
+    for start in range(0, code_samples, chunk):
+        keys = range(start, min(start + chunk, code_samples))
+        p = _haar_projectors(d, m, (keyed_stream(seed, "code-sample", i) for i in keys))
+        _, s, s_spec, w = _codes(r, hermitize(p))
+        w_t = s_spec.eigenvalues / np.trace(s, axis1=1, axis2=2).real[:, None]
+        for idx, total in _decoders(ch, s, s_spec, w_t, s_spec.eigenvectors):
+            fid[start + idx] = _fidelities(ch, total, w[idx])
     fid.setflags(write=False)
     best = int(np.argmax(fid))
-    return CodeExperimentStats(
-        fidelities=fid, best_index=best, best_code=results[best][1]
-    )
+    p_best = haar_projector(d, m, keyed_stream(seed, "code-sample", best))
+    return CodeExperimentStats(fid, best, build_code(rho, p_best))
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +496,13 @@ def check_avg_ent_relation(trials: int, rng: np.random.Generator) -> float:
     from .channel import random_channel
 
     worst = 0.0
+    # the identity decoder and the full code space for each d drawn below
+    eye = {d: np.eye(d, dtype=complex) for d in (2, 3)}
+    schemes = {d: (Channel(d, d, (e,)), Subspace(e)) for d, e in eye.items()}
     for _ in range(trials):
         d = int(rng.integers(2, 4))
         ch = random_channel(d, d, int(rng.integers(1, 4)), rng)
-        ident = Channel(d, d, (np.eye(d, dtype=complex),))
-        full = Subspace(np.eye(d, dtype=complex))
+        ident, full = schemes[d]
         f_ent = ent_fidelity(ch, ident, full)
         mean, stderr = avg_fidelity_mc(ch, ident, full, AVG_REL_MC_SAMPLES, rng)
         predicted = avg_from_ent_fidelity(f_ent, d)

@@ -45,7 +45,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = hermitize(self.mat)
+        mat = hermitize(as_matrix(self.mat))
         tr = float(mat.trace().real)
         if abs(tr - 1.0) > 1e-9:
             raise BadParameterError(f"trace {tr!r} is not 1 within 1e-9")
@@ -171,11 +171,18 @@ def max_entangled(m: int, ambient_dims: tuple[int, int] | None = None) -> PureSt
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Ginibre matrix with the
     R-diagonal phases fixed."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return _haar_q(_ginibre(dim, rng))
+
+
+def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _haar_q(g: np.ndarray) -> np.ndarray:
+    """The QR and phase fix of haar_unitary, for one Ginibre matrix or a stack."""
     q, r = np.linalg.qr(g / np.sqrt(2.0))
-    phases = np.diagonal(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> PureState:
@@ -193,10 +200,16 @@ def haar_state_in(sub: Subspace, rng: np.random.Generator) -> PureState:
 
 def haar_projector(dim: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random rank-m orthogonal projector."""
+    return _haar_projectors(dim, m, [rng])[0]
+
+
+def _haar_projectors(dim: int, m: int, rngs) -> np.ndarray:
+    """One haar_projector draw from each generator of the iterable rngs, as
+    one stack: the draws stay per generator, the QR runs once."""
     if m < 1 or m > dim:
         raise RankTooLargeError(f"rank {m} not in [1, {dim}]")
-    v = haar_unitary(dim, rng)[:, :m]
-    return v @ v.conj().T
+    v = _haar_q(np.stack([_ginibre(dim, r) for r in rngs]))[..., :m]
+    return v @ v.conj().swapaxes(-1, -2)
 
 
 def random_subspace(dim: int, k: int, rng: np.random.Generator) -> Subspace:

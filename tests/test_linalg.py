@@ -11,7 +11,9 @@ from petzlab.linalg import (
     hermitize,
     kernel_basis,
     partial_trace,
+    psd_spectrum,
     support_basis,
+    support_mask,
     support_projector,
     support_rank,
 )
@@ -143,3 +145,67 @@ def test_support_projector_fixes_matrix(m):
     h = m @ m.T  # PSD
     pi = support_projector(h)
     np.testing.assert_allclose(pi @ h @ pi, h, atol=1e-9)
+
+
+def psd_stack(k, n, rng):
+    # rank-deficient and full-rank PSD members at scales 1e-12 to 1e3, so
+    # that a support cutoff taken from another member's spectrum shows
+    g = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    g[::2, :, n // 2 :] = 0.0
+    return (g @ g.conj().transpose(0, 2, 1)) * 10.0 ** rng.uniform(-12, 3, (k, 1, 1))
+
+
+@seed(9)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5))
+def test_stacked_spectrum_matches_each_matrix(key, k, n):
+    rng = np.random.default_rng(key)
+    x = psd_stack(k, n, rng)
+    noise = rng.standard_normal((n, n))
+    # an anti-Hermitian defect within the Hermiticity band
+    x[0] += 1e-13j * np.abs(x[0]).max() * (noise + noise.T)
+    stacked = psd_spectrum(x)
+    np.testing.assert_array_equal(hermitize(x), np.stack([hermitize(a) for a in x]))
+    for i, a in enumerate(x):
+        one = psd_spectrum(a)
+        for got, want in zip(stacked, one):
+            np.testing.assert_array_equal(got[i], want)
+        np.testing.assert_array_equal(support_mask(stacked.eigenvalues)[i], one.support)
+        for f, on in ((np.sqrt, False), (lambda w: w ** -0.5, True)):
+            np.testing.assert_array_equal(stacked.fn(f, on)[i], one.fn(f, on))
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (lambda a: a + np.triu(np.ones_like(a), 1), NonHermitianError),
+        (lambda a: a * np.nan, NotPSDError),
+        (lambda a: a - 1e-6 * np.abs(a).max() * np.eye(len(a)), NotPSDError),
+    ],
+    ids=["non-hermitian", "non-finite", "below-band"],
+)
+def test_stack_with_one_bad_member_raises(bad, error):
+    # member 2 is rank deficient, so shifting it by -1e-6 lam_max puts an
+    # eigenvalue below the -1e-8 lam_max band
+    x = psd_stack(4, 3, np.random.default_rng(3))
+    psd_spectrum(x)
+    x[2] = bad(x[2])
+    with pytest.raises(error):
+        psd_spectrum(x)
+    with pytest.raises(error):
+        psd_spectrum(x[2])
+
+
+def test_single_matrix_functions_reject_a_stack():
+    # only the functions documented to take a stack accept one; the others
+    # would silently fold it into one number
+    from petzlab.entropy import von_neumann_entropy
+    from petzlab.qstate import DensityMatrix, trace_distance
+
+    x = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])])
+    for fn in (support_rank, support_projector, kernel_basis, von_neumann_entropy, DensityMatrix):
+        with pytest.raises(NonSquareError):
+            fn(x)
+    with pytest.raises(NonSquareError):
+        trace_distance(x, x)
+    assert hermitize(x).shape == psd_spectrum(x).eigenvectors.shape == (2, 2, 2)

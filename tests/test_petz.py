@@ -22,6 +22,7 @@ from petzlab.linalg import (
     support_basis,
     support_projector,
 )
+from petzlab import petz
 from petzlab.petz import (
     CodeSpec,
     DephasingMap,
@@ -490,6 +491,119 @@ def test_experiment_near_full_erasure_mean_small():
     rho = DensityMatrix(np.eye(2) / 2)
     stats = random_code_experiment(ch, rho, 2, 4, seed=0)
     assert stats.summary()["mean"] <= 0.51
+
+
+def per_code_fidelity(ch, rho, m, seed, i):
+    # sample i alone, through the public per-code path
+    p = haar_projector(rho.dim, m, keyed_stream(seed, "code-sample", i))
+    code = build_code(rho, p)
+    return ent_fidelity(ch, petz_decoder(ch, code).total, code.code_basis)
+
+
+@seed(12)
+@settings(max_examples=40, deadline=None)
+@random_scheme
+def test_experiment_matches_per_code_path(key, d, d_out, kraus_count, m):
+    # chunks of 3 samples, so that 1-8 samples straddle chunk boundaries;
+    # d_out up to 5 with few Kraus operators gives N(S) a kernel, hence a
+    # non-empty completion
+    m = min(m, d)
+    kraus_count = max(kraus_count, -(-d // d_out))
+    rng = keyed_stream(key, "experiment-vs-per-code")
+    ch = random_channel(d, d_out, kraus_count, rng)
+    rho = conditioned_state(d, rng)
+    samples = int(rng.integers(1, 9))
+    per_sample = (kraus_count + d * d_out) * max(d, d_out) ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(petz, "CODE_CHUNK_ELEMENTS", 3 * per_sample)
+        stats = random_code_experiment(ch, rho, m, samples, key)
+        first = random_code_experiment(ch, rho, m, 1, key).fidelities
+    want = [per_code_fidelity(ch, rho, m, key, i) for i in range(samples)]
+    np.testing.assert_allclose(stats.fidelities, want, rtol=0, atol=1e-14)
+    assert first[0] == stats.fidelities[0]
+    assert stats.best_index == int(np.argmax(stats.fidelities))
+    best = build_code(
+        rho, haar_projector(d, m, keyed_stream(key, "code-sample", stats.best_index))
+    )
+    np.testing.assert_array_equal(stats.best_code.code_basis.basis, best.code_basis.basis)
+
+
+def test_experiment_bits_match_per_code_path():
+    # m = 1 puts vector-matrix products in the F_e contraction, whose
+    # rounding depends on the memory layout of the decoder's Kraus stack
+    ch = make_channel("identity", 5)
+    rho = DensityMatrix(np.eye(5) / 5)
+    stats = random_code_experiment(ch, rho, 1, 40, seed=0)
+    want = [per_code_fidelity(ch, rho, 1, 0, i) for i in range(40)]
+    np.testing.assert_array_equal(stats.fidelities, want)
+
+
+def test_decoders_group_samples_by_rank_of_n_s():
+    # N keeps |0><0| and the block on |1>, |2> apart: N(S) has rank 1 for
+    # the code |0> and rank 2 for a generic code, so the stack splits in two
+    rng = keyed_stream(0, "rank-groups")
+    block = np.zeros((2, 3, 3), dtype=complex)
+    block[0, 0, 0] = 1.0
+    block[1, 1:, 1:] = np.eye(2)
+    ch = Channel(3, 3, tuple(block))
+    rho = DensityMatrix(np.eye(3) / 3)
+    projectors = [haar_projector(3, 1, rng), np.diag([1.0, 0.0, 0.0]), haar_projector(3, 1, rng)]
+    p = np.stack([hermitize(x) for x in projectors])
+    _, s, s_spec, w = petz._codes(rho.mat, p)
+    w_t = s_spec.eigenvalues / np.trace(s, axis1=1, axis2=2).real[:, None]
+    groups = list(petz._decoders(ch, s, s_spec, w_t, s_spec.eigenvectors))
+    assert [list(idx) for idx, _ in groups] == [[1], [0, 2]]
+    for idx, total in groups:
+        # base operators plus (d_out - rank N(S)) completion operators
+        assert total.shape[1] == len(ch.kraus) + 3 - (1 if list(idx) == [1] else 2)
+        for j, i in enumerate(idx):
+            code = build_code(rho, projectors[i])
+            dec = petz_decoder(ch, code)
+            np.testing.assert_array_equal(total[j], dec.total.kraus_stack)
+            assert petz._fidelities(ch, total, w[idx])[j] == ent_fidelity(
+                ch, dec.total, code.code_basis
+            )
+
+
+@pytest.mark.parametrize(
+    "bad, rho_diag, error",
+    [
+        (lambda p: 0.5 * p, [0.5, 0.3, 0.2], BadProjectorError),
+        (lambda p: 0.0 * p, [0.5, 0.3, 0.2], EmptyCodeError),
+        (lambda p: p, [0.6, 0.4, 0.0], RankDeficientRhoError),
+    ],
+    ids=["non-idempotent", "empty", "rank-deficient-rho"],
+)
+def test_code_checks_raise_alike_for_one_sample_and_a_stack(bad, rho_diag, error):
+    rng = keyed_stream(0, "stack-errors")
+    rho = np.diag(rho_diag).astype(complex)
+    p = np.stack([hermitize(haar_projector(3, 2, rng)) for _ in range(3)])
+    p[1] = bad(p[1])
+    with pytest.raises(error):
+        build_code(rho, p[1])
+    with pytest.raises(error):
+        petz._codes(rho, p)
+
+
+def test_experiment_eigh_calls_do_not_grow_with_samples(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    ch = random_channel(3, 2, 2, keyed_stream(0, "eigh-per-stack"))
+    rho = DensityMatrix(np.eye(3) / 3)
+    # both sample counts fit in one chunk
+    assert petz.CODE_CHUNK_ELEMENTS // ((2 + 3 * 2) * 3**2) >= 40
+    counts = []
+    for samples in (4, 40):
+        calls.clear()
+        random_code_experiment(ch, rho, 2, samples, seed=0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_experiment_rejects_zero_samples():
