@@ -160,7 +160,7 @@ def one_shot_rhs(ch: Channel, rho: DensityMatrix, params: OneShotParams) -> OneS
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentInfoResult:
     """Best coherent information found, the distinct near-optimal input
     states (the approximate argmax set), their variances, and optimizer

@@ -18,13 +18,14 @@ from .errors import (
     NotTracePreservingError,
 )
 from .linalg import _as_array, as_matrix
+from .qstate import _ginibre
 
 CPTP_ATOL = 1e-9
 # tensor powers are materialized explicitly only up to this total dimension
 TENSOR_DIM_LIMIT = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """Quantum channel with Kraus operators of shape (d_out, d_in).
 
@@ -37,7 +38,7 @@ class Channel:
     d_out: int
     kraus: tuple[np.ndarray, ...]
     trace_preserving: bool = True
-    kraus_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    kraus_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
@@ -308,9 +309,6 @@ def random_channel(
         raise BadParameterError(
             f"d_out * kraus_count = {d_out * kraus_count} < d_in = {d_in}"
         )
-    g = rng.standard_normal((d_out * kraus_count, d_in)) + 1j * rng.standard_normal(
-        (d_out * kraus_count, d_in)
-    )
-    q, _ = np.linalg.qr(g)
+    q, _ = np.linalg.qr(_ginibre((d_out * kraus_count, d_in), rng))
     kraus = tuple(q[e * d_out : (e + 1) * d_out, :] for e in range(kraus_count))
     return Channel(d_in, d_out, kraus)

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import click
 
@@ -82,68 +83,35 @@ def run_lemma_suite(seed: int, trials: int = 100, pinching=None) -> list[LemmaRe
     if trials < 20:
         raise ConfigError(f"trials = {trials} must be at least 20")
     pinch = pinching if pinching is not None else dephasing_map
-    reports = []
-
-    per_d = max(5, trials // 3)
-    worst = 0.0
-    for d in (2, 3, 4):
-        rng = keyed_stream(seed, "verify-pinching-identities", d)
-        worst = max(worst, check_dephasing_identities(d, per_d, rng, pinching=pinch))
-    reports.append(LemmaReport("pinching-identities", 3 * per_d, worst))
-
-    rng = keyed_stream(seed, "verify-weak-monotonicity")
-    reports.append(
-        LemmaReport(
-            "pinching-weak-monotonicity", trials, check_weak_monotonicity(trials, rng)
-        )
-    )
-
-    n_avg = max(5, trials // 2)
-    rng = keyed_stream(seed, "verify-avg-ent-fidelity")
-    reports.append(
-        LemmaReport(
-            "average-entanglement-fidelity",
-            n_avg,
-            check_avg_ent_relation(n_avg, rng),
-        )
-    )
-
-    n_dual = max(10, trials // 2)
-    rng = keyed_stream(seed, "verify-entropy-duality")
-    reports.append(
-        LemmaReport("conditional-entropy-duality", n_dual, check_duality(n_dual, rng))
-    )
-
-    n_cvx = max(10, trials // 2)
-    rng = keyed_stream(seed, "verify-joint-convexity")
-    reports.append(
-        LemmaReport(
-            "collision-joint-convexity", n_cvx, check_joint_convexity(n_cvx, rng)
-        )
-    )
-
-    n_spec = max(10, trials // 2)
-    rng = keyed_stream(seed, "verify-collision-spectrum")
-    reports.append(
-        LemmaReport(
-            "collision-spectrum-bound", n_spec, check_collision_spectrum(n_spec, rng)
-        )
-    )
-
-    n_flip = max(5, trials // 3)
-    mc_samples = 10**5
-    worst = 0.0
-    for d in (2, 3, 4):
-        rng = keyed_stream(seed, "verify-flip-exact", d)
-        worst = max(worst, check_flip_identities(d, n_flip, rng))
-    for d, m in ((2, 1), (3, 2), (4, 2)):
-        rng = keyed_stream(seed, "verify-flip-state-moment", d)
-        worst = max(worst, check_haar_state_moments(d, mc_samples, rng))
-        rng = keyed_stream(seed, "verify-flip-projector-moment", d)
-        worst = max(worst, check_haar_projector_moment(d, m, mc_samples, rng))
-    reports.append(LemmaReport("flip-haar-moments", 3 * n_flip + 6, worst))
-
-    return reports
+    third, half, mc, moments = trials // 3, trials // 2, 10**5, ((2, 1), (3, 2), (4, 2))
+    # per family: its id, its reported trial count, and the (tag, index,
+    # check) triples; its worst violation is the largest
+    # check(keyed_stream(seed, tag, index)) over them
+    table = [
+        ("pinching-identities", 3 * third,
+         [("verify-pinching-identities", d,
+           partial(check_dephasing_identities, d, third, pinching=pinch)) for d in (2, 3, 4)]),
+        ("pinching-weak-monotonicity", trials,
+         [("verify-weak-monotonicity", 0, partial(check_weak_monotonicity, trials))]),
+        ("average-entanglement-fidelity", half,
+         [("verify-avg-ent-fidelity", 0, partial(check_avg_ent_relation, half))]),
+        ("conditional-entropy-duality", half,
+         [("verify-entropy-duality", 0, partial(check_duality, half))]),
+        ("collision-joint-convexity", half,
+         [("verify-joint-convexity", 0, partial(check_joint_convexity, half))]),
+        ("collision-spectrum-bound", half,
+         [("verify-collision-spectrum", 0, partial(check_collision_spectrum, half))]),
+        ("flip-haar-moments", 3 * third + 6,
+         [("verify-flip-exact", d, partial(check_flip_identities, d, third)) for d in (2, 3, 4)]
+         + [("verify-flip-state-moment", d, partial(check_haar_state_moments, d, mc))
+            for d, _ in moments]
+         + [("verify-flip-projector-moment", d, partial(check_haar_projector_moment, d, m, mc))
+            for d, m in moments]),
+    ]
+    return [
+        LemmaReport(lemma_id, n, max(check(keyed_stream(seed, tag, i)) for tag, i, check in checks))
+        for lemma_id, n, checks in table
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .linalg import (
     require_psd,
     support_mask,
 )
-from .qstate import purify
+from .qstate import _ginibre, purify
 
 # admissible relative leakage of rho outside the support of sigma
 SUPPORT_LEAK_RTOL = 1e-9
@@ -62,9 +62,23 @@ def _support_pair(rho, sigma) -> tuple[np.ndarray, PsdSpectrum, bool]:
     SUPPORT_LEAK_RTOL."""
     r, s = _pair(rho, sigma)
     sig = psd_spectrum(s)
+    return r, sig, _leaks(r, sig)
+
+
+def _leaks(r: np.ndarray, sig: PsdSpectrum) -> bool:
     k = sig.kernel()
     leak = float(np.vdot(k, r @ k).real) / max(float(np.trace(r).real), 1e-300)
-    return r, sig, leak > SUPPORT_LEAK_RTOL
+    return leak > SUPPORT_LEAK_RTOL
+
+
+def _sandwich(r: np.ndarray, sig: PsdSpectrum) -> np.ndarray:
+    """sigma^{-1/2} rho sigma^{-1/2}, the inverse square root taken on the
+    support of sigma, from sigma's one decomposition `sig`; raises
+    SupportViolationError when rho leaks off supp(sigma)."""
+    if _leaks(r, sig):
+        raise SupportViolationError("rho has support outside supp(sigma)")
+    s_inv_half = sig.fn(lambda x: x ** -0.5, on_support=True)
+    return s_inv_half @ r @ s_inv_half
 
 
 def von_neumann_entropy(rho) -> float:
@@ -118,12 +132,8 @@ def exp2_collision(rho, sigma) -> float:
     argument may be any positive semidefinite operator (not necessarily
     normalized); the value scales quadratically with it.
     """
-    r, sig, leaks = _support_pair(rho, sigma)
-    if leaks:
-        raise SupportViolationError("rho has support outside supp(sigma)")
-    s_inv_half = sig.fn(lambda x: x ** -0.5, on_support=True)
-    m = s_inv_half @ r @ s_inv_half
-    return float(np.trace(m @ r).real)
+    r, s = _pair(rho, sigma)
+    return float(np.trace(_sandwich(r, psd_spectrum(s)) @ r).real)
 
 
 def collision_d2(rho, sigma) -> EntropyValue:
@@ -135,11 +145,8 @@ def collision_d2(rho, sigma) -> EntropyValue:
 def dmax(rho, sigma) -> EntropyValue:
     """Max-relative entropy log2 of the top eigenvalue of
     sigma^{-1/2} rho sigma^{-1/2}; the least lam with rho <= 2^lam sigma."""
-    r, sig, leaks = _support_pair(rho, sigma)
-    if leaks:
-        raise SupportViolationError("rho has support outside supp(sigma)")
-    s_inv_half = sig.fn(lambda x: x ** -0.5, on_support=True)
-    m = s_inv_half @ r @ s_inv_half
+    r, s = _pair(rho, sigma)
+    m = _sandwich(r, psd_spectrum(s))
     top = float(np.linalg.eigvalsh((m + m.conj().T) / 2).max())
     return EntropyValue(float(np.log2(top)), True)
 
@@ -388,7 +395,7 @@ def channel_variance(ch, rho) -> float:
 
 
 def _random_state_mat(d: int, rng: np.random.Generator, floor: float = 0.0):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = _ginibre((d, d), rng)
     m = g @ g.conj().T + floor * np.eye(d)
     return m / np.trace(m).real
 
@@ -402,9 +409,7 @@ def check_duality(trials: int, rng: np.random.Generator) -> float:
         d_a = int(rng.integers(2, 4))
         d_b = int(rng.integers(2, 4))
         d_c = int(rng.integers(2, 4))
-        g = rng.standard_normal(d_a * d_b * d_c) + 1j * rng.standard_normal(
-            d_a * d_b * d_c
-        )
+        g = _ginibre(d_a * d_b * d_c, rng)
         g = g / np.linalg.norm(g)
         full = np.outer(g, g.conj())
         t = full.reshape(d_a, d_b, d_c, d_a, d_b, d_c)

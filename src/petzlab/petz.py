@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import Channel, _dagger, _require_trace_preserving
+from .channel import Channel, _dagger, _require_trace_preserving, random_channel
 from .errors import (
     BadParameterError,
     BadProjectorError,
@@ -25,7 +25,7 @@ from .errors import (
     NumericsError,
     RankDeficientRhoError,
 )
-from .entropy import exp2_collision
+from .entropy import _sandwich
 from .linalg import (
     PsdSpectrum, _psd_spectrum, as_matrix, hermitian_eig, hermitize, psd_spectrum
 )
@@ -33,7 +33,9 @@ from .qstate import (
     DensityMatrix,
     PureState,
     Subspace,
+    _ginibre,
     _haar_projectors,
+    _mub_states,
     avg_from_ent_fidelity,
     haar_projector,
     haar_unitary,
@@ -42,12 +44,11 @@ from .qstate import (
 )
 
 UNITARITY_ATOL = 1e-9
-AVG_REL_MC_SAMPLES = 2000
 # complex entries in one sample-stacked intermediate of random_code_experiment
 CODE_CHUNK_ELEMENTS = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpec:
     """Random code data: input state rho, rank-m projector P, the code
     operator S = sqrt(d rho) P sqrt(d rho), and the orthonormal code basis
@@ -59,7 +60,7 @@ class CodeSpec:
     m: int
     s: np.ndarray
     code_basis: Subspace
-    s_spectrum: PsdSpectrum = field(repr=False, compare=False)
+    s_spectrum: PsdSpectrum = field(repr=False)
 
 
 def build_code(rho: DensityMatrix, projector) -> CodeSpec:
@@ -110,7 +111,7 @@ def _codes(r: np.ndarray, p: np.ndarray):
     return m, s, s_spec, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PetzDecoder:
     """Transpose-channel decoder split into its trace-non-increasing base map
     and the completion that restores trace preservation."""
@@ -225,27 +226,30 @@ def avg_fidelity_mc(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of the input-output fidelity over
-    Haar-random pure states in the code space.
-
-    Draws the same Gaussian stream as `samples` calls of haar_state_in. The
-    fidelity of psi is sum_c |<psi|C_c|psi>|^2 over the composed Kraus
-    operators C = R_j N_k, evaluated for all samples at once.
-    """
+    Haar-random pure states in the code space, all samples at once. Draws the
+    same Gaussian stream as `samples` calls of haar_state_in."""
     if samples < 2:
         raise BadParameterError("need at least 2 samples")
     _check_scheme(ch, dec, code_space)
     g = rng.standard_normal((samples, 2, code_space.dim))
     g = g[:, 0] + 1j * g[:, 1]
     psi = (g / np.linalg.norm(g, axis=1, keepdims=True)) @ code_space.basis.T
+    vals = _pure_fidelities(ch, dec, psi)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
+
+
+def _pure_fidelities(ch: Channel, dec: Channel, psi: np.ndarray) -> np.ndarray:
+    """Input-output fidelity <psi|R(N(psi))|psi> = sum_c |<psi|C_c|psi>|^2,
+    over the composed Kraus operators C = R_j N_k, of each row psi of an
+    (n, d_in) array of unit vectors."""
     comp = (dec.kraus_stack[:, None] @ ch.kraus_stack[None]).reshape(
         -1, ch.d_in, ch.d_in
     )
     amps = ((comp @ psi.T) * psi.T.conj()).sum(axis=1)
-    vals = (np.abs(amps) ** 2).sum(axis=0)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
+    return (np.abs(amps) ** 2).sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeExperimentStats:
     """Per-sample entanglement fidelities (index order) with the best code."""
 
@@ -317,7 +321,7 @@ def _check_unitary(u) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DephasingMap:
     """Pinching in the orthonormal basis u|i>; idempotent and unital."""
 
@@ -411,8 +415,10 @@ def weak_monotonicity_violation(lam, u, sigma) -> float:
     v = kraus.transpose(2, 1, 0).reshape(d * d_b, -1)
     omega = v @ v.conj().T / d
 
-    lhs = exp2_collision(dmap.pinch_first(omega, d_b), s)
-    rhs = exp2_collision(omega, s) / d
+    # exp2_collision of both sides, with sigma decomposed once
+    sig, pinched = psd_spectrum(s), dmap.pinch_first(omega, d_b)
+    lhs = float(np.trace(_sandwich(pinched, sig) @ pinched).real)
+    rhs = float(np.trace(_sandwich(omega, sig) @ omega).real) / d
     return max(0.0, rhs - lhs)
 
 
@@ -436,7 +442,7 @@ def check_dephasing_identities(
     for _ in range(trials):
         u = haar_unitary(d, rng)
         dmap = DephasingMap(u)
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        g = _ginibre((d, d), rng)
         x = g @ g.conj().T
         x = x / np.trace(x).real
 
@@ -471,18 +477,12 @@ def check_weak_monotonicity(trials: int, rng: np.random.Generator) -> float:
         d_b = int(rng.integers(2, 4))
         u = haar_unitary(d, rng)
         dmap = DephasingMap(u)
-        kraus = []
-        for _ in range(int(rng.integers(1, 4))):
-            kraus.append(
-                rng.standard_normal((d_b, d)) + 1j * rng.standard_normal((d_b, d))
-            )
+        kraus = [_ginibre((d_b, d), rng) for _ in range(int(rng.integers(1, 4)))]
         gram = sum(k.conj().T @ k for k in kraus)
         scale = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2).max())
         kraus = [k / np.sqrt(scale) for k in kraus]
 
-        g = rng.standard_normal((d * d_b, d * d_b)) + 1j * rng.standard_normal(
-            (d * d_b, d * d_b)
-        )
+        g = _ginibre((d * d_b, d * d_b), rng)
         raw = g @ g.conj().T
         raw = raw / np.trace(raw).real
         sigma = clock_invariant_state(dmap, raw, d_b)
@@ -491,10 +491,10 @@ def check_weak_monotonicity(trials: int, rng: np.random.Generator) -> float:
 
 
 def check_avg_ent_relation(trials: int, rng: np.random.Generator) -> float:
-    """Monte-Carlo consistency of the average fidelity with the value implied
-    by the entanglement fidelity, beyond three standard errors."""
-    from .channel import random_channel
-
+    """Worst residual of F_avg = (d F_e + 1) / (d + 1) on random channels of
+    dimension d = 2 or 3, with F_avg the Haar average of the input-output
+    fidelity evaluated exactly: the mean over the states of a complete set
+    of mutually unbiased bases, a 2-design in prime d."""
     worst = 0.0
     # the identity decoder and the full code space for each d drawn below
     eye = {d: np.eye(d, dtype=complex) for d in (2, 3)}
@@ -504,7 +504,7 @@ def check_avg_ent_relation(trials: int, rng: np.random.Generator) -> float:
         ch = random_channel(d, d, int(rng.integers(1, 4)), rng)
         ident, full = schemes[d]
         f_ent = ent_fidelity(ch, ident, full)
-        mean, stderr = avg_fidelity_mc(ch, ident, full, AVG_REL_MC_SAMPLES, rng)
-        predicted = avg_from_ent_fidelity(f_ent, d)
-        worst = max(worst, abs(mean - predicted) - 3.0 * stderr - 1e-12)
+        mean = float(_pure_fidelities(ch, ident, _mub_states(d)).mean())
+        # less a round-off floor of 1e-12
+        worst = max(worst, abs(mean - avg_from_ent_fidelity(f_ent, d)) - 1e-12)
     return max(0.0, worst)

@@ -38,7 +38,7 @@ def keyed_stream(master_seed: int, tag: str, index: int = 0) -> np.random.Genera
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Normalized state: Hermitian, positive semidefinite, unit trace."""
 
@@ -67,7 +67,7 @@ class DensityMatrix:
         return DensityMatrix(np.eye(d, dtype=complex) / d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector; density() gives the rank-1 projector."""
 
@@ -89,7 +89,7 @@ class PureState:
         return DensityMatrix(np.outer(self.vec, self.vec.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Subspace spanned by orthonormal columns of `basis` (ambient x dim)."""
 
@@ -171,11 +171,12 @@ def max_entangled(m: int, ambient_dims: tuple[int, int] | None = None) -> PureSt
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Ginibre matrix with the
     R-diagonal phases fixed."""
-    return _haar_q(_ginibre(dim, rng))
+    return _haar_q(_ginibre((dim, dim), rng))
 
 
-def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _ginibre(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian array of the given shape; real parts drawn first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _haar_q(g: np.ndarray) -> np.ndarray:
@@ -187,13 +188,13 @@ def _haar_q(g: np.ndarray) -> np.ndarray:
 
 def haar_state(dim: int, rng: np.random.Generator) -> PureState:
     """Haar-random pure state (normalized complex Gaussian vector)."""
-    g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    g = _ginibre(dim, rng)
     return PureState(g / np.linalg.norm(g))
 
 
 def haar_state_in(sub: Subspace, rng: np.random.Generator) -> PureState:
     """Haar-random pure state supported inside the given subspace."""
-    g = rng.standard_normal(sub.dim) + 1j * rng.standard_normal(sub.dim)
+    g = _ginibre(sub.dim, rng)
     g = g / np.linalg.norm(g)
     return PureState(sub.basis @ g)
 
@@ -208,7 +209,7 @@ def _haar_projectors(dim: int, m: int, rngs) -> np.ndarray:
     one stack: the draws stay per generator, the QR runs once."""
     if m < 1 or m > dim:
         raise RankTooLargeError(f"rank {m} not in [1, {dim}]")
-    v = _haar_q(np.stack([_ginibre(dim, r) for r in rngs]))[..., :m]
+    v = _haar_q(np.stack([_ginibre((dim, dim), r) for r in rngs]))[..., :m]
     return v @ v.conj().swapaxes(-1, -2)
 
 
@@ -241,15 +242,29 @@ def avg_from_ent_fidelity(f_ent: float, d: int) -> float:
     return (d * f_ent + 1.0) / (d + 1.0)
 
 
+def _mub_states(d: int) -> np.ndarray:
+    """The d(d + 1) states, as rows, of a complete set of mutually unbiased
+    bases in prime d: the computational basis, and for k < d the basis of
+    sum_n exp(2 pi i (k n^2 / q + j n / d)) |n> / sqrt(d) over j, with q = 4
+    for d = 2 and q = d otherwise. They form a complex projective 2-design
+    (Klappenecker and Roetteler, quant-ph/0502031): their mean of
+    |psi><psi|^(x)2 is the Haar mean (I + F) / (d (d + 1))."""
+    if d < 2 or any(d % p == 0 for p in range(2, d)):
+        raise BadParameterError(f"dimension {d} is not prime")
+    n = np.arange(d)
+    q = 4 if d == 2 else d
+    phase = n[:, None, None] * n**2 / q + n[None, :, None] * n / d
+    bases = np.exp(2j * np.pi * phase).reshape(d * d, d) / np.sqrt(d)
+    return np.concatenate((np.eye(d, dtype=complex), bases))
+
+
 # ---------------------------------------------------------------------------
 # verification helpers: flip identities and Haar moment checks
 # ---------------------------------------------------------------------------
 
 
 def _random_op_on(sub: Subspace, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((sub.dim, sub.dim)) + 1j * rng.standard_normal(
-        (sub.dim, sub.dim)
-    )
+    g = _ginibre((sub.dim, sub.dim), rng)
     return sub.basis @ g @ sub.basis.conj().T
 
 
@@ -297,7 +312,7 @@ def check_haar_state_moments(
     psi (x) psi equals (I (x) I + F) / (d (d + 1)). Returns the worst
     Frobenius deviation beyond three standard errors.
     """
-    g = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
+    g = _ginibre((samples, d), rng)
     g = g / np.linalg.norm(g, axis=1, keepdims=True)
     worst = _moment_excess(g, g.conj(), np.eye(d) / d)
 
@@ -322,9 +337,7 @@ def check_haar_projector_moment(
     d: int, m: int, samples: int, rng: np.random.Generator
 ) -> float:
     """Monte-Carlo check of the Haar mean of P (x) P for rank-m projectors."""
-    g = rng.standard_normal((samples, d, d)) + 1j * rng.standard_normal(
-        (samples, d, d)
-    )
+    g = _ginibre((samples, d, d), rng)
     # the first m columns of Q depend only on the first m columns of G, and
     # P = V V^dag does not depend on their phases, so R is not needed
     v, _ = np.linalg.qr(g[:, :, :m] / np.sqrt(2.0))

@@ -307,6 +307,24 @@ def test_lemma_suite_negative_control():
     assert reports["conditional-entropy-duality"].passed
 
 
+@pytest.mark.parametrize("seed", [3, 6, 14])
+def test_lemma_suite_passes_every_family(seed):
+    # the seeds at which a 3-sigma Monte-Carlo band on the average fidelity
+    # fails that true identity
+    reports = run_lemma_suite(seed, 100)
+    assert [(r.lemma_id, r.trials) for r in reports] == [
+        ("pinching-identities", 99),
+        ("pinching-weak-monotonicity", 100),
+        ("average-entanglement-fidelity", 50),
+        ("conditional-entropy-duality", 50),
+        ("collision-joint-convexity", 50),
+        ("collision-spectrum-bound", 50),
+        ("flip-haar-moments", 105),
+    ]
+    failed = [(r.lemma_id, r.max_violation) for r in reports if not r.passed]
+    assert not failed
+
+
 def test_lemma_report_threshold():
     assert LemmaReport("x", 1, 1e-8).passed
     assert not LemmaReport("x", 1, 2e-7).passed

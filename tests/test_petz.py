@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from petzlab.bounds import CoherentInfoResult
 from petzlab.channel import Channel, make_channel, random_channel
+from petzlab.cli import LEMMA_TOL
 from petzlab.errors import (
     BadParameterError,
     BadProjectorError,
@@ -375,6 +377,13 @@ def test_each_operator_decomposed_once(monkeypatch):
     calls.clear()
     exp2_collision(rho, sigma)
     assert len(calls) == 1
+    # sigma once for both sides of the bound
+    u = haar_unitary(2, rng)
+    raw = conditioned_state(4, rng).mat
+    sigma = clock_invariant_state(DephasingMap(u), raw, 2)
+    calls.clear()
+    weak_monotonicity_violation(random_channel(2, 2, 2, rng), u, sigma)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +444,76 @@ def test_avg_fidelity_mc_needs_samples():
 def test_avg_ent_relation_consistent():
     rng = keyed_stream(3, "avg-rel")
     assert check_avg_ent_relation(4, rng) == 0.0
+
+
+@pytest.mark.parametrize("dropped", [0, 1, 2])
+def test_avg_ent_relation_detects_a_non_design(monkeypatch, dropped):
+    # with one basis dropped, the states no longer form a 2-design, and
+    # their mean misses the Haar average that the relation predicts
+    design = petz._mub_states
+
+    def one_basis_short(d):
+        return np.delete(design(d), np.s_[dropped * d : (dropped + 1) * d], axis=0)
+
+    monkeypatch.setattr(petz, "_mub_states", one_basis_short)
+    rng = keyed_stream(3, "avg-rel")
+    assert check_avg_ent_relation(20, rng) > LEMMA_TOL
+
+
+@pytest.mark.parametrize("key", range(6))
+def test_avg_fidelity_mc_matches_design_average(key):
+    """avg_fidelity_mc against the exact Haar average on a Petz-decoded
+    random code: the mean over the mutually unbiased basis states of the
+    code space. That mean is first checked against the closed form
+    (sum_c tr(A_c† A_c) + sum_c |tr A_c|^2) / (m (m + 1)), A_c = W† C_c W.
+
+    The band is 4 standard errors. The mean of 4000 samples is close to
+    normal, so a correct estimator falls outside it with probability about
+    6.3e-5 per key, 3.8e-4 over the six keys; the keys are fixed, so the
+    test is deterministic.
+    """
+    rng = keyed_stream(key, "mc-vs-design")
+    d, m = (3, 2) if key % 2 else (4, 3)
+    ch = random_channel(d, 3, 2, rng)
+    code = build_code(conditioned_state(d, rng), haar_projector(d, m, rng))
+    dec = petz_decoder(ch, code).total
+    w = code.code_basis.basis
+    exact = float(petz._pure_fidelities(ch, dec, petz._mub_states(m) @ w.T).mean())
+
+    comp = (dec.kraus_stack[:, None] @ ch.kraus_stack[None]).reshape(-1, d, d)
+    a = w.conj().T @ comp @ w
+    traces = np.trace(a, axis1=1, axis2=2)
+    haar = ((np.abs(a) ** 2).sum() + (np.abs(traces) ** 2).sum()) / (m * (m + 1))
+    assert exact == pytest.approx(haar, abs=1e-14)
+
+    mean, stderr = avg_fidelity_mc(ch, dec, code.code_basis, 4000, rng)
+    assert abs(mean - exact) <= 4.0 * stderr
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # == on their array fields would raise; they compare and hash by identity
+    rng = keyed_stream(0, "identity-eq")
+    rho = DensityMatrix.maximally_mixed(3)
+    ch = random_channel(3, 3, 2, rng)
+    code = build_code(rho, haar_projector(3, 2, rng))
+    objs = [
+        make_channel("erasure", 0.3),
+        ch,
+        rho,
+        max_entangled(2),
+        code.code_basis,
+        code,
+        petz_decoder(ch, code),
+        DephasingMap(np.eye(2)),
+        random_code_experiment(ch, rho, 2, 3, 0),
+        CoherentInfoResult(0.5, (rho,), (1.0,), 1e-6, {"x": np.zeros(2)}),
+    ]
+    for obj in objs:
+        assert obj == obj and obj in [obj]
+        hash(obj)
+    assert len(set(objs)) == len(objs)
+    assert make_channel("erasure", 0.3) != make_channel("erasure", 0.3)
+    assert DensityMatrix.maximally_mixed(3) not in [rho]
 
 
 # ---------------------------------------------------------------------------

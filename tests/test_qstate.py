@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from petzlab import qstate
 from petzlab.errors import (
+    BadParameterError,
     DimensionMismatchError,
     NotPSDError,
     OutOfRangeError,
@@ -338,6 +339,42 @@ def test_avg_from_ent_fidelity_domain():
         avg_from_ent_fidelity(1.5, 2)
     with pytest.raises(OutOfRangeError):
         avg_from_ent_fidelity(-0.1, 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mub_states_are_a_2_design(d):
+    # the mean of |psi><psi| (x) |psi><psi| over the d(d + 1) states is the
+    # Haar mean (I + F) / (d (d + 1))
+    states = qstate._mub_states(d)
+    assert states.shape == (d * (d + 1), d)
+    pairs = np.einsum("ni,nj->nij", states, states).reshape(len(states), d * d)
+    mean = pairs.T @ pairs.conj() / len(states)
+    flip = flip_operator(Subspace(np.eye(d, dtype=complex)))
+    np.testing.assert_allclose(
+        mean, (np.eye(d * d) + flip) / (d * (d + 1)), rtol=0, atol=1e-14
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_mub_states_are_mutually_unbiased_bases(d):
+    states = qstate._mub_states(d)
+    overlaps = np.abs(states.conj() @ states.T) ** 2
+    same_basis = np.kron(np.eye(d + 1), np.ones((d, d)))
+    expected = np.eye(len(states)) + (1.0 - same_basis) / d
+    np.testing.assert_allclose(overlaps, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [0, 1, 4, 6])
+def test_mub_states_need_prime_dimension(d):
+    with pytest.raises(BadParameterError):
+        qstate._mub_states(d)
+
+
+def test_ginibre_draws_real_parts_first():
+    # the draw order of the complex Gaussian sites it replaced
+    a, b = keyed_stream(0, "ginibre"), keyed_stream(0, "ginibre")
+    expected = b.standard_normal((3, 2)) + 1j * b.standard_normal((3, 2))
+    assert np.array_equal(qstate._ginibre((3, 2), a), expected)
 
 
 def test_flip_requires_matching_shapes():
